@@ -538,7 +538,7 @@ pub fn train(args: &ParsedArgs) -> Result<String, CliError> {
         )
         .unwrap();
     }
-    let plan = trainer.sync_plan();
+    let plan = trainer.hier_sync_plan();
     if !plan.is_dense() {
         let n = trainer.history().len().max(1) as f64;
         let work: f64 = trainer.history().iter().map(|h| h.sync_time_s).sum::<f64>() / n;

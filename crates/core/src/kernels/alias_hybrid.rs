@@ -22,9 +22,10 @@
 //! Every draw of the MH chain is derived from a per-token sub-stream seed
 //! `t = stable_u64(seed, iteration, (doc ≪ 32) | slot)` — a pure function of
 //! token identity — and the stale tables themselves are built from the
-//! synchronized `phi_global`, which is equal on every chunk replica at equal
-//! iteration counts.  Both are independent of topology and batching, so the
-//! alias path inherits the full bit-exactness contract (`DESIGN.md` §10).
+//! synchronized `phi_global`, the one φ every chunk reads, whose content at
+//! a given iteration count does not depend on the chunking.  Both are
+//! independent of topology and batching, so the alias path inherits the
+//! full bit-exactness contract (`DESIGN.md` §10).
 
 use crate::config::LdaConfig;
 use crate::kernels::sampler::{SamplerKernel, SamplerResumeState, BURN_STREAM_BASE};
@@ -225,8 +226,8 @@ impl SamplerKernel for AliasHybridSampler {
             }),
         );
         // Capture the global snapshot behind this rebuild once per rebuild
-        // iteration (every chunk builds from the same synchronized φ, so the
-        // first chunk's capture covers them all) — it is what a checkpoint
+        // iteration (every chunk reads the one synchronized φ, so the first
+        // chunk's capture covers them all) — it is what a checkpoint
         // taken before the next rebuild needs for a bit-exact resume.
         {
             let mut snap = self.snapshot.lock();

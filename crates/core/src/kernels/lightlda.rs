@@ -338,7 +338,7 @@ impl SamplerKernel for LightLdaSampler {
             }),
         );
         // Capture the snapshot behind this rebuild once per rebuild
-        // iteration (every chunk builds from the same synchronized φ).
+        // iteration (every chunk reads the one synchronized φ).
         {
             let mut snap = self.snapshot.lock();
             if snap

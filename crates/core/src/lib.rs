@@ -61,8 +61,7 @@ pub use session::{
     SessionBuilder, SessionError, SessionStats, StreamingOptions, StreamingSession, TrainingSession,
 };
 pub use sync::{
-    synchronize_phi, synchronize_phi_hier_sharded, synchronize_phi_sharded, HierarchicalSyncPlan,
-    ShardedSyncStats, SyncPlan, SyncStats,
+    synchronize_phi_hier_sharded, HierarchicalSyncPlan, ShardedSyncStats, SyncPlan, SyncStats,
 };
 pub use trainer::{CuLdaTrainer, TrainerError};
 pub use work::{build_work_items, WorkItem};

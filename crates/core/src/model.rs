@@ -1,15 +1,20 @@
-//! Model state: per-chunk replicas of θ and φ (Figure 3(a)).
+//! Model state: per-chunk θ and φ contributions plus the synchronized φ
+//! (Figure 3(a)).
 //!
 //! With partition-by-document, every chunk owns the θ rows of its documents
-//! exclusively, while φ is replicated: each replica accumulates the counts
-//! contributed by its own chunk's tokens (`phi_local`), and the synchronized
-//! global matrix (`phi_global = Σ_c phi_local[c]`) is what the samplers read.
+//! exclusively and accumulates the φ counts of its own tokens (`phi_local`).
+//! The synchronized global matrix (`phi_global = Σ_c phi_local[c]`) is what
+//! the samplers read.  On the paper's hardware every GPU holds its own copy
+//! of it; the host keeps exactly one, shared by every chunk of a trainer
+//! through an [`Arc`].  The per-GPU replicas exist only in the cost model
+//! ([`ChunkState::device_bytes`] and the tree schedules of [`crate::sync`]).
 
 use crate::config::LdaConfig;
 use culda_corpus::ChunkLayout;
 use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicI64, AtomicU16, Ordering};
+use std::sync::Arc;
 
 /// Atomic per-topic totals `n_k` (64-bit: billion-token corpora overflow u32).
 #[derive(Debug)]
@@ -77,7 +82,7 @@ impl TopicTotals {
 }
 
 /// All device-resident state for one corpus chunk (Figure 3: the chunk, its θ
-/// replica, its φ replica, and the synchronized φ it samples from).
+/// replica, its φ contribution, and the synchronized φ it samples from).
 #[derive(Debug)]
 pub struct ChunkState {
     /// Chunk index within the run.
@@ -101,9 +106,10 @@ pub struct ChunkState {
     pub nk_local: TopicTotals,
     /// The synchronized global φ the sampling kernel reads
     /// (`Σ` of every chunk's `phi_local` after the reduce+broadcast of §5.2).
-    pub phi_global: AtomicMatrix,
-    /// The synchronized global topic totals.
-    pub nk_global: TopicTotals,
+    /// Shared by every chunk of a trainer.
+    pub phi_global: Arc<AtomicMatrix>,
+    /// The synchronized global topic totals, shared like `phi_global`.
+    pub nk_global: Arc<TopicTotals>,
     /// For every word-major position, the token's index within its document
     /// (see [`ChunkLayout::token_slots`]); combined with the global document
     /// id this keys the counter-based sampling RNG.
@@ -113,8 +119,24 @@ pub struct ChunkState {
 impl ChunkState {
     /// Allocate the state for a chunk, with all counts zero and all topic
     /// assignments set to topic 0 (callers run [`ChunkState::random_init`]).
+    /// The chunk gets a synchronized φ / n_k pair of its own; a trainer
+    /// instead shares one pair between all of its chunks.
     pub fn new(chunk_id: usize, layout: ChunkLayout, num_topics: usize) -> Self {
-        let vocab = layout.vocab_size;
+        let phi_global = Arc::new(AtomicMatrix::zeros(num_topics, layout.vocab_size));
+        let nk_global = Arc::new(TopicTotals::zeros(num_topics));
+        Self::with_globals(chunk_id, layout, phi_global, nk_global)
+    }
+
+    /// Allocate the state for a chunk that reads the given synchronized
+    /// `phi_global` (`K × V`) and `nk_global` (`K`); `K` is taken from them.
+    pub(crate) fn with_globals(
+        chunk_id: usize,
+        layout: ChunkLayout,
+        phi_global: Arc<AtomicMatrix>,
+        nk_global: Arc<TopicTotals>,
+    ) -> Self {
+        let (num_topics, vocab) = (phi_global.rows(), layout.vocab_size);
+        assert!(phi_global.cols() == vocab && nk_global.len() == num_topics);
         let tokens = layout.num_tokens();
         let docs = layout.num_docs();
         let mut z = Vec::with_capacity(tokens);
@@ -131,8 +153,8 @@ impl ChunkState {
             theta: RwLock::new(CsrMatrix::zeros(docs, num_topics)),
             phi_local: AtomicMatrix::zeros(num_topics, vocab),
             nk_local: TopicTotals::zeros(num_topics),
-            phi_global: AtomicMatrix::zeros(num_topics, vocab),
-            nk_global: TopicTotals::zeros(num_topics),
+            phi_global,
+            nk_global,
         }
     }
 
@@ -265,8 +287,10 @@ impl ChunkState {
         }
     }
 
-    /// Estimated device-memory footprint in bytes (chunk layout + z + θ + two
-    /// φ replicas with 16-bit compression when enabled).
+    /// Estimated device-memory footprint in bytes (chunk layout + z + θ +
+    /// `phi_local` + the GPU's own replica of the synchronized φ, with 16-bit
+    /// compression when enabled).  The replica is charged per chunk even
+    /// though the host shares one synchronized φ between chunks.
     pub fn device_bytes(&self, compress_16bit: bool) -> u64 {
         let phi = if compress_16bit {
             self.phi_local.device_bytes_compressed() + self.phi_global.device_bytes_compressed()

@@ -354,9 +354,9 @@ mod tests {
             9,
             Interconnect::Pcie3,
         );
-        // Fill every chunk's global φ replica before the first iteration,
+        // Fill every chunk's synchronized φ before the first iteration,
         // exactly as the trainer does at construction time.
-        crate::sync::synchronize_phi(&states, &system, cfg.compress_16bit);
+        synchronize_phi_hier_sharded(&states, &system, &DENSE, cfg.compress_16bit);
         (states, items, system, cfg)
     }
 
@@ -459,7 +459,7 @@ mod tests {
         assert!(dense.intra_sync_bytes > 0);
         assert_eq!(dense.inter_sync_bytes, 0);
 
-        let plan: HierarchicalSyncPlan = SyncPlan::new(8, 2).into();
+        let plan = HierarchicalSyncPlan::new(SyncPlan::new(8, 2), true, 1);
         let sharded = run_iteration(
             &states,
             &items,
@@ -484,7 +484,7 @@ mod tests {
     #[test]
     fn zero_depth_sharded_plan_does_not_overlap() {
         let (states, items, system, cfg) = setup(2, 2, 8);
-        let plan: HierarchicalSyncPlan = SyncPlan::new(4, 0).into();
+        let plan = HierarchicalSyncPlan::new(SyncPlan::new(4, 0), true, 1);
         let stats = run_iteration(
             &states,
             &items,

@@ -186,10 +186,8 @@ impl Default for StreamingOptions {
     }
 }
 
-/// Fluent construction of training sessions — the crate's entry point.
-///
-/// Replaces the positional `CuLdaTrainer::new` / `CuLdaTrainer::
-/// with_assignments` pair (now deprecated shims).  See the
+/// Fluent construction of training sessions — the crate's entry point, and
+/// the only way to construct a [`CuLdaTrainer`].  See the
 /// [module docs](crate::session) for examples of both the batch and the
 /// streaming path.
 #[derive(Debug, Default)]
@@ -1288,23 +1286,6 @@ mod tests {
         SessionBuilder::new()
             .config(LdaConfig::with_topics(8).seed(seed))
             .system(MultiGpuSystem::single(DeviceSpec::v100_volta(), seed))
-    }
-
-    #[test]
-    fn builder_build_matches_deprecated_constructor() {
-        let corpus = small_corpus();
-        let mut a = builder(5).corpus(&corpus).build().unwrap();
-        #[allow(deprecated)]
-        let mut b = CuLdaTrainer::new(
-            &corpus,
-            LdaConfig::with_topics(8).seed(5),
-            MultiGpuSystem::single(DeviceSpec::v100_volta(), 5),
-        )
-        .unwrap();
-        a.train(3);
-        b.train(3);
-        assert_eq!(a.z_snapshot(), b.z_snapshot());
-        assert_eq!(a.global_phi(), b.global_phi());
     }
 
     #[test]

@@ -20,7 +20,11 @@
 //! identical however the columns are grouped, so sharding can never change
 //! the synchronized state) and charges the time of the per-shard tree
 //! schedules over the system's interconnect, which is what determines
-//! multi-GPU scalability (Figure 9).
+//! multi-GPU scalability (Figure 9).  The two halves see different numbers
+//! of φ copies: the cost model charges one replica per GPU, while the host
+//! writes each *distinct* synchronized φ once — a trainer's chunks share a
+//! single one, so a trainer pays one store pass however many GPUs it
+//! simulates.
 //!
 //! The reduce itself runs on real OS threads, which is safe precisely
 //! because everything summed here is an integer count: addition commutes, so
@@ -288,16 +292,6 @@ impl HierarchicalSyncPlan {
     }
 }
 
-impl From<SyncPlan> for HierarchicalSyncPlan {
-    fn from(base: SyncPlan) -> Self {
-        HierarchicalSyncPlan {
-            base,
-            hierarchical: true,
-            inter_groups: 1,
-        }
-    }
-}
-
 /// Global per-word token counts across all chunks (`Σ_c` of every chunk's
 /// word-major histogram) — the weights [`SyncPlan::token_balanced_ranges`]
 /// cuts the vocabulary with.  Independent of how the corpus is chunked.
@@ -344,6 +338,23 @@ pub struct ShardedSyncStats {
     /// Bytes the tree steps moved over the inter-node fabric (0 on a
     /// single-node system).
     pub inter_bytes: u64,
+}
+
+/// Bytes of one replica that each shard's tree moves: `K × |range|`
+/// elements of 2 (16-bit compressed, §6.1.3) or 4 bytes, with the `K`
+/// 8-byte `n_k` totals riding on the last shard.  Summed over ranges that
+/// cover `0..V` this is one full replica.  Shared by the synchronization and
+/// the trainer's auto-tuner.
+pub(crate) fn shard_bytes(k: usize, ranges: &[Range<usize>], compress_16bit: bool) -> Vec<u64> {
+    let elem_bytes: u64 = if compress_16bit { 2 } else { 4 };
+    let mut bytes: Vec<u64> = ranges
+        .iter()
+        .map(|range| k as u64 * range.len() as u64 * elem_bytes)
+        .collect();
+    if let Some(last) = bytes.last_mut() {
+        *last += k as u64 * 8;
+    }
+    bytes
 }
 
 /// Cost the per-shard tree schedules of one sync under `plan`, given each
@@ -397,47 +408,19 @@ pub(crate) fn hier_shard_times(
     (times, intra, inter)
 }
 
-/// Combine every chunk's `phi_local` / `nk_local` into each chunk's
-/// `phi_global` / `nk_global` with the dense single-barrier schedule of §5.2,
-/// and return the simulated cost of the tree reduce + broadcast.
+/// Combine every chunk's `phi_local` / `nk_local` into the synchronized
+/// `phi_global` / `nk_global` and return the per-shard simulated costs of
+/// the tree schedules under `plan`: on a multi-node system with the
+/// hierarchy enabled, each shard is costed as its per-node tree reduce +
+/// broadcast and every fabric group's reduced columns cross the inter-node
+/// fabric once, folded into the group's last shard.  A dense plan uses one
+/// shard; a sharded plan cuts the vocabulary into token-balanced ranges.
 ///
 /// `compress_16bit` selects the per-element transfer size (§6.1.3 halves the
-/// synchronization volume as well as the kernel traffic).
-pub fn synchronize_phi(
-    states: &[Arc<ChunkState>],
-    system: &MultiGpuSystem,
-    compress_16bit: bool,
-) -> SyncStats {
-    synchronize_phi_sharded(states, system, &SyncPlan::dense(), compress_16bit).stats
-}
-
-/// Combine every chunk's `phi_local` / `nk_local` into each chunk's
-/// `phi_global` / `nk_global`, one vocabulary shard at a time, and return the
-/// per-shard simulated costs of the tree schedules.
-///
-/// The functional result is bit-identical to [`synchronize_phi`] for every
-/// plan: each global cell is an integer sum of the chunk contributions, and
-/// grouping the columns into shards does not change any of the sums.  Only
-/// the costed barrier structure differs.
-pub fn synchronize_phi_sharded(
-    states: &[Arc<ChunkState>],
-    system: &MultiGpuSystem,
-    plan: &SyncPlan,
-    compress_16bit: bool,
-) -> ShardedSyncStats {
-    synchronize_phi_hier_sharded(
-        states,
-        system,
-        &HierarchicalSyncPlan::flat(*plan),
-        compress_16bit,
-    )
-}
-
-/// [`synchronize_phi_sharded`] under a [`HierarchicalSyncPlan`]: on a
-/// multi-node system with the hierarchy enabled, each shard is costed as its
-/// per-node tree reduce + broadcast and every fabric group's reduced columns
-/// cross the inter-node fabric once, folded into the group's last shard.
-/// The functional result is bit-identical to every other schedule.
+/// synchronization volume as well as the kernel traffic).  The functional
+/// result is bit-identical for every plan: each global cell is an integer
+/// sum of the chunk contributions, and neither the shard grouping nor the
+/// tier structure changes any of the sums.
 pub fn synchronize_phi_hier_sharded(
     states: &[Arc<ChunkState>],
     system: &MultiGpuSystem,
@@ -455,31 +438,10 @@ pub fn synchronize_phi_hier_sharded(
     synchronize_phi_hier_over_ranges(states, system, ranges, compress_16bit, plan)
 }
 
-/// Synchronize over an explicit, already-resolved set of contiguous column
-/// ranges with the *flat* single-tier cost model (every tree round over the
-/// system interconnect — on a cluster, the fabric).  Kept as the LDA*-style
-/// baseline; the scheduler routes through
-/// [`synchronize_phi_hier_over_ranges`].
-pub fn synchronize_phi_over_ranges(
-    states: &[Arc<ChunkState>],
-    system: &MultiGpuSystem,
-    ranges: Vec<Range<usize>>,
-    compress_16bit: bool,
-) -> ShardedSyncStats {
-    synchronize_phi_hier_over_ranges(
-        states,
-        system,
-        ranges,
-        compress_16bit,
-        &HierarchicalSyncPlan::flat(SyncPlan::dense()),
-    )
-}
-
-/// The workhorse behind every synchronize variant: combine over an explicit,
-/// already-resolved set of contiguous column ranges (which must cover `0..V`
-/// in order) and cost them under `plan`.  Exposed so the scheduler can
-/// resolve the ranges once per iteration and reuse them for its
-/// compute-overlap weights.
+/// [`synchronize_phi_hier_sharded`] over an explicit, already-resolved set
+/// of contiguous column ranges (which must cover `0..V` in order).  Exposed
+/// so the scheduler can resolve the ranges once per iteration and reuse them
+/// for its compute-overlap weights.
 pub fn synchronize_phi_hier_over_ranges(
     states: &[Arc<ChunkState>],
     system: &MultiGpuSystem,
@@ -490,64 +452,38 @@ pub fn synchronize_phi_hier_over_ranges(
     assert!(!states.is_empty());
     let k = states[0].num_topics();
     let v = states[0].phi_local.cols();
+    debug_assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), v);
 
-    // --- Functional part: global sums, one column shard at a time. ---
-    for range in &ranges {
-        // Sum rows in parallel; each row of the result is independent.
-        let summed: Vec<Vec<u32>> = (0..k)
-            .into_par_iter()
-            .map(|row| {
-                let mut acc = vec![0u32; range.len()];
-                for st in states {
-                    for (a, col) in acc.iter_mut().zip(range.clone()) {
-                        *a += st.phi_local.load(row, col);
-                    }
-                }
-                acc
-            })
-            .collect();
-
-        // Broadcast the shard into every chunk's global replica.
-        states.par_iter().for_each(|st| {
-            for (row, vals) in summed.iter().enumerate() {
-                for (offset, &x) in vals.iter().enumerate() {
-                    st.phi_global.store(row, range.start + offset, x);
-                }
+    // --- Functional part: sum the locals row by row straight into every
+    // distinct global (one for a trainer, whose chunks share it).  Shards
+    // only structure the costed schedule, so the pass ignores them. ---
+    let phi_globals = distinct(states.iter().map(|st| &st.phi_global));
+    let nk_globals = distinct(states.iter().map(|st| &st.nk_global));
+    (0..k).into_par_iter().for_each(|row| {
+        for col in 0..v {
+            let sum: u32 = states.iter().map(|st| st.phi_local.load(row, col)).sum();
+            for global in &phi_globals {
+                global.store(row, col, sum);
             }
-        });
-    }
-
-    // n_k is K-sized (tiny next to φ); it rides with the last shard.
+        }
+    });
     let mut nk = vec![0i64; k];
     for st in states {
         for (acc, val) in nk.iter_mut().zip(st.nk_local.to_vec()) {
             *acc += val;
         }
     }
-    states.par_iter().for_each(|st| {
-        st.nk_global.store_all(&nk);
-    });
+    for global in &nk_globals {
+        global.store_all(&nk);
+    }
 
     // --- Cost model: one tree schedule per shard, grouped fabric hops. ---
-    let elem_bytes: u64 = if compress_16bit { 2 } else { 4 };
-    let nk_bytes = (k as u64) * 8;
-    let shard_bytes: Vec<u64> = ranges
-        .iter()
-        .enumerate()
-        .map(|(s, range)| {
-            let mut bytes = (k as u64) * (range.len() as u64) * elem_bytes;
-            if s == ranges.len() - 1 {
-                bytes += nk_bytes;
-            }
-            bytes
-        })
-        .collect();
+    let shard_bytes = shard_bytes(k, &ranges, compress_16bit);
     let (per_shard_time_s, intra_bytes, inter_bytes) = hier_shard_times(system, &shard_bytes, plan);
-    let replica_bytes = (k as u64) * (v as u64) * elem_bytes + nk_bytes;
     ShardedSyncStats {
         stats: SyncStats {
             time_s: per_shard_time_s.iter().sum(),
-            replica_bytes,
+            replica_bytes: shard_bytes.iter().sum(),
             num_devices: system.num_gpus(),
         },
         per_shard_time_s,
@@ -555,6 +491,17 @@ pub fn synchronize_phi_hier_over_ranges(
         intra_bytes,
         inter_bytes,
     }
+}
+
+/// The distinct allocations among `arcs`, in first-seen order.
+fn distinct<'a, T>(arcs: impl Iterator<Item = &'a Arc<T>>) -> Vec<&'a Arc<T>> {
+    let mut out: Vec<&'a Arc<T>> = Vec::new();
+    for arc in arcs {
+        if !out.iter().any(|seen| Arc::ptr_eq(seen, arc)) {
+            out.push(arc);
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -565,14 +512,31 @@ mod tests {
     use culda_gpusim::{DeviceSpec, Interconnect};
 
     fn make_states(corpus: &Corpus, chunks: usize, k: usize) -> Vec<Arc<ChunkState>> {
+        build_states(corpus, chunks, k, false)
+    }
+
+    /// With `shared`, every chunk reads one synchronized φ / n_k pair, as in
+    /// a trainer; otherwise each chunk owns a pair (`ChunkState::new`).
+    fn build_states(
+        corpus: &Corpus,
+        chunks: usize,
+        k: usize,
+        shared: bool,
+    ) -> Vec<Arc<ChunkState>> {
         let partitioner = Partitioner::by_tokens(corpus, chunks);
         let cfg = LdaConfig::with_topics(k);
+        let phi = Arc::new(culda_sparse::AtomicMatrix::zeros(k, corpus.vocab_size()));
+        let nk = Arc::new(crate::model::TopicTotals::zeros(k));
         partitioner
             .build_layouts(corpus)
             .into_iter()
             .enumerate()
             .map(|(i, layout)| {
-                let st = ChunkState::new(i, layout, k);
+                let st = if shared {
+                    ChunkState::with_globals(i, layout, phi.clone(), nk.clone())
+                } else {
+                    ChunkState::new(i, layout, k)
+                };
                 let mut x = (i as u32 + 1).wrapping_mul(2654435761);
                 st.random_init(&cfg, move || {
                     x = x.wrapping_mul(1664525).wrapping_add(1013904223);
@@ -595,13 +559,28 @@ mod tests {
         .generate(5)
     }
 
+    /// Synchronize under `plan` with the flat single-tier cost model.
+    fn flat_sync(
+        states: &[Arc<ChunkState>],
+        system: &MultiGpuSystem,
+        plan: SyncPlan,
+        compress_16bit: bool,
+    ) -> ShardedSyncStats {
+        synchronize_phi_hier_sharded(
+            states,
+            system,
+            &HierarchicalSyncPlan::flat(plan),
+            compress_16bit,
+        )
+    }
+
     #[test]
     fn global_phi_is_the_sum_of_all_chunk_contributions() {
         let corpus = corpus();
         let states = make_states(&corpus, 3, 6);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 3, 1, Interconnect::Pcie3);
-        let stats = synchronize_phi(&states, &system, true);
+        let stats = flat_sync(&states, &system, SyncPlan::dense(), true).stats;
         assert!(stats.time_s > 0.0);
         assert_eq!(stats.num_devices, 3);
 
@@ -626,7 +605,7 @@ mod tests {
         let corpus = corpus();
         let states = make_states(&corpus, 1, 4);
         let system = MultiGpuSystem::single(DeviceSpec::v100_volta(), 3);
-        let stats = synchronize_phi(&states, &system, true);
+        let stats = flat_sync(&states, &system, SyncPlan::dense(), true).stats;
         assert_eq!(stats.time_s, 0.0);
         assert_eq!(
             states[0].phi_global.to_dense().total(),
@@ -640,8 +619,8 @@ mod tests {
         let states = make_states(&corpus, 2, 4);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 2, 1, Interconnect::Pcie3);
-        let a = synchronize_phi(&states, &system, true);
-        let b = synchronize_phi(&states, &system, false);
+        let a = flat_sync(&states, &system, SyncPlan::dense(), true).stats;
+        let b = flat_sync(&states, &system, SyncPlan::dense(), false).stats;
         assert!(b.replica_bytes > a.replica_bytes);
         assert!(b.time_s > a.time_s);
     }
@@ -653,15 +632,44 @@ mod tests {
         let sharded_states = make_states(&corpus, 3, 6);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 3, 1, Interconnect::Pcie3);
-        synchronize_phi(&dense_states, &system, true);
+        flat_sync(&dense_states, &system, SyncPlan::dense(), true);
         // V = 60 is not divisible by 7: the remainder shards must still
         // cover every column exactly once.
         let plan = SyncPlan::new(7, 2);
-        let stats = synchronize_phi_sharded(&sharded_states, &system, &plan, true);
+        let stats = flat_sync(&sharded_states, &system, plan, true);
         assert_eq!(stats.per_shard_time_s.len(), 7);
         for (d, s) in dense_states.iter().zip(&sharded_states) {
             assert_eq!(d.phi_global.to_dense(), s.phi_global.to_dense());
             assert_eq!(d.nk_global.to_vec(), s.nk_global.to_vec());
+        }
+
+        // One global shared by every chunk (a trainer's layout) and one
+        // global per chunk (the probe's) hold the same sums under a sharded
+        // hierarchical plan on a 2 × 2 cluster, and are costed the same.
+        let cluster = MultiGpuSystem::clustered(
+            DeviceSpec::titan_xp_pascal(),
+            culda_gpusim::ClusterTopology::new(2, 2, Interconnect::Ethernet10G),
+            7,
+            Interconnect::Pcie3,
+        );
+        let dense_states = make_states(&corpus, 4, 6);
+        let private_states = make_states(&corpus, 4, 6);
+        let shared_states = build_states(&corpus, 4, 6, true);
+        for st in &shared_states {
+            assert!(Arc::ptr_eq(&st.phi_global, &shared_states[0].phi_global));
+            assert!(Arc::ptr_eq(&st.nk_global, &shared_states[0].nk_global));
+        }
+        flat_sync(&dense_states, &cluster, SyncPlan::dense(), true);
+        let plan = HierarchicalSyncPlan::new(SyncPlan::new(7, 2), true, 2);
+        let private = synchronize_phi_hier_sharded(&private_states, &cluster, &plan, true);
+        let shared = synchronize_phi_hier_sharded(&shared_states, &cluster, &plan, true);
+        assert_eq!(private, shared);
+        assert_eq!(shared.per_shard_time_s.len(), 7);
+        for ((d, p), s) in dense_states.iter().zip(&private_states).zip(&shared_states) {
+            assert_eq!(d.phi_global.to_dense(), p.phi_global.to_dense());
+            assert_eq!(d.nk_global.to_vec(), p.nk_global.to_vec());
+            assert_eq!(p.phi_global.to_dense(), s.phi_global.to_dense());
+            assert_eq!(p.nk_global.to_vec(), s.nk_global.to_vec());
         }
     }
 
@@ -671,8 +679,8 @@ mod tests {
         let states = make_states(&corpus, 2, 4);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 2, 1, Interconnect::Pcie3);
-        let dense = synchronize_phi(&states, &system, true);
-        let sharded = synchronize_phi_sharded(&states, &system, &SyncPlan::new(1, 4), true);
+        let dense = flat_sync(&states, &system, SyncPlan::dense(), true).stats;
+        let sharded = flat_sync(&states, &system, SyncPlan::new(1, 4), true);
         assert_eq!(sharded.per_shard_time_s.len(), 1);
         assert_eq!(sharded.stats, dense);
     }
@@ -683,8 +691,8 @@ mod tests {
         let states = make_states(&corpus, 4, 8);
         let system =
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 4, 1, Interconnect::Pcie3);
-        let dense = synchronize_phi(&states, &system, true);
-        let sharded = synchronize_phi_sharded(&states, &system, &SyncPlan::new(4, 2), true);
+        let dense = flat_sync(&states, &system, SyncPlan::dense(), true).stats;
+        let sharded = flat_sync(&states, &system, SyncPlan::new(4, 2), true);
         assert_eq!(sharded.stats.replica_bytes, dense.replica_bytes);
         assert!(sharded.stats.time_s >= dense.time_s);
         // The tiny test replica is latency-bound, so the worst case is one

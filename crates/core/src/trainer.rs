@@ -1,8 +1,6 @@
 //! The top-level CuLDA_CGS trainer (the training engine of Figure 3).
 //!
-//! Trainers are constructed through [`crate::session::SessionBuilder`]; the
-//! positional constructors on [`CuLdaTrainer`] are deprecated shims kept for
-//! source compatibility.
+//! Trainers are constructed through [`crate::session::SessionBuilder`].
 //!
 //! ```no_run
 //! use culda_core::{LdaConfig, SessionBuilder};
@@ -22,13 +20,13 @@
 
 use crate::config::LdaConfig;
 use crate::kernels::{sampler_for, SamplerKernel, SamplerResumeState};
-use crate::model::ChunkState;
+use crate::model::{ChunkState, TopicTotals};
 use crate::schedule::{run_iteration, IterationStats, ScheduleKind};
 use crate::sync::{synchronize_phi_hier_sharded, HierarchicalSyncPlan, SyncPlan};
 use crate::work::{build_work_items, WorkItem};
 use culda_corpus::{Corpus, Partitioner};
 use culda_gpusim::MultiGpuSystem;
-use culda_sparse::{CsrBuilder, CsrMatrix, DenseMatrix};
+use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix, DenseMatrix};
 use std::sync::Arc;
 
 /// Errors produced while constructing a trainer.
@@ -94,51 +92,17 @@ pub struct CuLdaTrainer {
 }
 
 impl CuLdaTrainer {
-    /// Build a trainer: validates the configuration, chooses `M` (chunks per
-    /// GPU) from the device memory capacity as §5.1 prescribes, partitions
-    /// the corpus by token count, preprocesses every chunk into its
-    /// word-major layout, randomly initialises the topic assignments and
-    /// performs the initial φ synchronization.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `culda_core::SessionBuilder::new().corpus(..).config(..).system(..).build()` \
-                — the builder is the supported entry point and also opens the \
-                streaming/online path via `.build_streaming()`"
-    )]
-    pub fn new(
-        corpus: &Corpus,
-        config: LdaConfig,
-        system: MultiGpuSystem,
-    ) -> Result<Self, TrainerError> {
-        Self::from_parts(corpus, config, system, None, None)
-    }
-
-    /// Build a trainer whose topic assignments are restored from an explicit
-    /// per-document snapshot (`z[doc][token]`, original token order) instead
-    /// of random initialisation — the `train --resume-from` path.  The
-    /// snapshot must cover exactly this corpus.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `culda_core::SessionBuilder::new().corpus(..).assignments(..).build()` \
-                (or `StreamingSession::resume` for rotated streaming checkpoints)"
-    )]
-    pub fn with_assignments(
-        corpus: &Corpus,
-        config: LdaConfig,
-        system: MultiGpuSystem,
-        z: &[Vec<u16>],
-        start_iteration: u64,
-    ) -> Result<Self, TrainerError> {
-        Self::from_parts(corpus, config, system, Some((z, start_iteration)), None)
-    }
-
-    /// The one real constructor, shared by the deprecated positional shims
-    /// and [`crate::session::SessionBuilder`]: `init` optionally restores an
-    /// explicit assignment snapshot together with the iteration counter to
-    /// continue the RNG streams from, and `sampler_state` optionally replays
-    /// checkpointed sampler-internal state (e.g. the alias hybrid's stale
-    /// tables) into the freshly built sampler so a mid-cadence resume is
-    /// bit-exact.
+    /// Build a trainer (what [`crate::session::SessionBuilder`] calls):
+    /// validates the configuration, chooses `M` (chunks per GPU) from the
+    /// device memory capacity as §5.1 prescribes, partitions the corpus by
+    /// token count, preprocesses every chunk into its word-major layout,
+    /// initialises the topic assignments and performs the initial φ
+    /// synchronization.  `init` optionally restores an explicit assignment
+    /// snapshot (`z[doc][token]`, original token order, covering exactly
+    /// this corpus) together with the iteration counter to continue the RNG
+    /// streams from, and `sampler_state` optionally replays checkpointed
+    /// sampler-internal state (e.g. the alias hybrid's stale tables) into
+    /// the freshly built sampler so a mid-cadence resume is bit-exact.
     pub(crate) fn from_parts(
         corpus: &Corpus,
         config: LdaConfig,
@@ -225,11 +189,15 @@ impl CuLdaTrainer {
         // initial topics come from the counter-based generator keyed by each
         // token's (document, slot) identity, so the initialisation — like the
         // sampling draws — is identical for every chunking of the corpus.
+        // Every chunk reads the one synchronized φ / n_k pair allocated here.
+        let phi_global = Arc::new(AtomicMatrix::zeros(config.num_topics, corpus.vocab_size()));
+        let nk_global = Arc::new(TopicTotals::zeros(config.num_topics));
         let states: Vec<Arc<ChunkState>> = layouts
             .into_iter()
             .enumerate()
             .map(|(i, layout)| {
-                let state = ChunkState::new(i, layout, config.num_topics);
+                let state =
+                    ChunkState::with_globals(i, layout, phi_global.clone(), nk_global.clone());
                 match init {
                     None => state.random_init_stable(&config, config.seed),
                     Some(z) => state.init_from_assignments(z),
@@ -330,19 +298,14 @@ impl CuLdaTrainer {
         self.schedule
     }
 
-    /// The φ synchronization shard layout currently in effect.  With an
-    /// explicit `LdaConfig::sync_shards(S)` this is fixed for the whole run
-    /// (shard count clamped to the vocabulary); with the auto-tuned default
-    /// (`sync_shards == None`) iteration 0 runs dense and this plan is
+    /// The φ synchronization plan currently in effect: the shard layout plus
+    /// the hierarchical flag and the inter-node fabric group count (which
+    /// only matter on a multi-node [`MultiGpuSystem::clustered`] system).
+    /// With an explicit `LdaConfig::sync_shards(S)` the shard count is fixed
+    /// for the whole run (clamped to the vocabulary); with the auto-tuned
+    /// default (`sync_shards == None`) iteration 0 runs dense and the plan is
     /// replaced by the tuned one before iteration 1 (see
     /// [`CuLdaTrainer::run_iteration`]).
-    pub fn sync_plan(&self) -> SyncPlan {
-        self.sync_plan.base()
-    }
-
-    /// The full cluster-aware synchronization plan, including the
-    /// hierarchical flag and the inter-node fabric group count (which only
-    /// matter on a multi-node [`MultiGpuSystem::clustered`] system).
     pub fn hier_sync_plan(&self) -> HierarchicalSyncPlan {
         self.sync_plan
     }
@@ -371,9 +334,6 @@ impl CuLdaTrainer {
     fn auto_tune_sync_plan(&self, measured_compute_s: f64) -> HierarchicalSyncPlan {
         let depth = self.config.sync_overlap_depth;
         let word_tokens = crate::sync::global_word_tokens(&self.states);
-        let k = self.config.num_topics as u64;
-        let elem_bytes: u64 = if self.config.compress_16bit { 2 } else { 4 };
-        let nk_bytes = k * 8;
         let hierarchical = self.config.hierarchical_sync;
         let shard_candidates: Vec<usize> = match self.config.sync_shards {
             Some(s) => vec![s],
@@ -385,17 +345,11 @@ impl CuLdaTrainer {
             let shards = candidate.clamp(1, self.vocab_size.max(1));
             let base = SyncPlan::new(shards, depth);
             let ranges = base.token_balanced_ranges(&word_tokens);
-            let shard_bytes: Vec<u64> = ranges
-                .iter()
-                .enumerate()
-                .map(|(s, range)| {
-                    let mut bytes = k * range.len() as u64 * elem_bytes;
-                    if s == ranges.len() - 1 {
-                        bytes += nk_bytes;
-                    }
-                    bytes
-                })
-                .collect();
+            let shard_bytes = crate::sync::shard_bytes(
+                self.config.num_topics,
+                &ranges,
+                self.config.compress_16bit,
+            );
             let group_candidates: Vec<usize> = if !(hierarchical && self.system.num_nodes() > 1) {
                 vec![1]
             } else if let Some(g) = self.config.sync_inter_groups {
@@ -657,9 +611,7 @@ mod tests {
     use culda_corpus::DatasetProfile;
     use culda_gpusim::{DeviceSpec, Interconnect};
 
-    /// The non-deprecated construction path (what `SessionBuilder::build`
-    /// calls); the deprecated positional shims are covered by an explicit
-    /// equivalence test in `crate::session`.
+    /// The construction path `SessionBuilder::build` calls.
     fn build(
         corpus: &Corpus,
         config: LdaConfig,
@@ -740,6 +692,34 @@ mod tests {
     }
 
     #[test]
+    fn every_chunk_shares_one_synchronized_phi() {
+        let corpus = small_corpus();
+        for (gpus, chunks_per_gpu) in [(4, 1), (4, 3)] {
+            let system = MultiGpuSystem::homogeneous(
+                DeviceSpec::titan_xp_pascal(),
+                gpus,
+                11,
+                Interconnect::Pcie3,
+            );
+            let config = LdaConfig::with_topics(8)
+                .seed(1)
+                .chunks_per_gpu(chunks_per_gpu);
+            let mut trainer = build(&corpus, config, system).unwrap();
+            assert_eq!(trainer.num_chunks(), gpus * chunks_per_gpu);
+            trainer.train(2);
+            let first = &trainer.states[0];
+            for state in &trainer.states {
+                assert!(Arc::ptr_eq(&state.phi_global, &first.phi_global));
+                assert!(Arc::ptr_eq(&state.nk_global, &first.nk_global));
+            }
+            // The chunks hold the only references: no other K × V copy.
+            assert_eq!(Arc::strong_count(&first.phi_global), trainer.num_chunks());
+            assert_eq!(Arc::strong_count(&first.nk_global), trainer.num_chunks());
+            trainer.validate().unwrap();
+        }
+    }
+
+    #[test]
     fn forced_streaming_schedule_is_respected() {
         let corpus = small_corpus();
         let system = MultiGpuSystem::single(DeviceSpec::gtx_1080(), 3);
@@ -796,7 +776,7 @@ mod tests {
             MultiGpuSystem::homogeneous(DeviceSpec::titan_xp_pascal(), 4, 2, Interconnect::Pcie3)
         };
         let mut auto = build(&corpus, LdaConfig::with_topics(16).seed(2), mk_system()).unwrap();
-        assert!(auto.sync_plan().is_dense(), "iteration 0 runs dense");
+        assert!(auto.hier_sync_plan().is_dense(), "iteration 0 runs dense");
         auto.train(4);
         let mut dense = build(
             &corpus,
@@ -809,9 +789,9 @@ mod tests {
         assert_eq!(auto.z_snapshot(), dense.z_snapshot());
         // ...and on this latency-bound configuration it must pick dense.
         assert!(
-            auto.sync_plan().is_dense(),
+            auto.hier_sync_plan().is_dense(),
             "latency-bound run must stay dense, got {:?}",
-            auto.sync_plan()
+            auto.hier_sync_plan()
         );
         assert!(auto.sim_time_s() <= dense.sim_time_s() * (1.0 + 1e-9));
         // Single-GPU runs never auto-shard (there is nothing to reduce).
@@ -821,7 +801,7 @@ mod tests {
             MultiGpuSystem::single(DeviceSpec::v100_volta(), 2),
         )
         .unwrap();
-        assert!(single.sync_plan().is_dense());
+        assert!(single.hier_sync_plan().is_dense());
     }
 
     #[test]
@@ -856,9 +836,9 @@ mod tests {
             "sharding is bit-neutral"
         );
         assert!(
-            auto.sync_plan().shards() > 1,
+            auto.hier_sync_plan().shards() > 1,
             "bandwidth-bound run should auto-shard, got {:?}",
-            auto.sync_plan()
+            auto.hier_sync_plan()
         );
         // Iteration 0 is identical (dense measurement pass); the prediction
         // uses the same cost model the scheduler charges, so the tuned

@@ -11,7 +11,6 @@ use crate::cost::{kernel_time, CostCounters, KernelTime};
 use crate::memory::DeviceMemory;
 use crate::profile::Profiler;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Processor micro-architecture family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -367,9 +366,9 @@ pub struct Device {
     pub memory: DeviceMemory,
     /// Per-kernel time profile (feeds Table 5).
     pub profiler: Profiler,
-    /// RNG seed all kernel launches on this device derive from.
+    /// Seed the device was created with (carried into clones of its
+    /// system; kernel randomness is keyed by the kernels themselves).
     pub seed: u64,
-    launch_counter: AtomicU64,
     busy_time_s: parking_lot::Mutex<f64>,
 }
 
@@ -383,15 +382,8 @@ impl Device {
             memory,
             profiler: Profiler::new(),
             seed,
-            launch_counter: AtomicU64::new(0),
             busy_time_s: parking_lot::Mutex::new(0.0),
         }
-    }
-
-    /// Monotonically increasing launch number (mixes into per-block RNG seeds
-    /// so that every kernel launch sees fresh randomness).
-    pub fn next_launch_id(&self) -> u64 {
-        self.launch_counter.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Record `seconds` of simulated busy time attributed to `kernel_name`.
@@ -477,14 +469,6 @@ mod tests {
         dev.reset_time();
         assert_eq!(dev.busy_time_s(), 0.0);
         assert!(dev.profiler.breakdown().is_empty());
-    }
-
-    #[test]
-    fn launch_ids_are_unique_and_increasing() {
-        let dev = Device::new(0, DeviceSpec::gtx_1080(), 1);
-        let a = dev.next_launch_id();
-        let b = dev.next_launch_id();
-        assert!(b > a);
     }
 
     #[test]

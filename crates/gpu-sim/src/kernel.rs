@@ -14,7 +14,6 @@
 use crate::cost::{CostCounters, KernelTime};
 use crate::device::Device;
 use crate::memory::SharedMemory;
-use crate::rng::BlockRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -43,8 +42,8 @@ impl LaunchConfig {
     }
 }
 
-/// Per-block execution context: operation counters, the block's shared-memory
-/// budget and a deterministic RNG.
+/// Per-block execution context: operation counters and the block's
+/// shared-memory budget.
 #[derive(Debug)]
 pub struct BlockCtx {
     /// Index of this block within the grid.
@@ -53,20 +52,17 @@ pub struct BlockCtx {
     pub counters: CostCounters,
     /// Shared-memory budget for this block.
     pub shared: SharedMemory,
-    /// Deterministic per-block random number generator.
-    pub rng: BlockRng,
     /// Warp width of the device (32 on NVIDIA GPUs, 1 on CPUs).
     pub warp_size: u32,
 }
 
 impl BlockCtx {
     /// Create a context (normally done by [`Device::launch`]).
-    pub fn new(block_id: usize, shared_capacity: u64, rng: BlockRng, warp_size: u32) -> Self {
+    pub fn new(block_id: usize, shared_capacity: u64, warp_size: u32) -> Self {
         BlockCtx {
             block_id,
             counters: CostCounters::zero(),
             shared: SharedMemory::new(shared_capacity),
-            rng,
             warp_size,
         }
     }
@@ -122,18 +118,6 @@ impl BlockCtx {
     pub fn atomics(&mut self, n: u64) {
         self.counters.atomic_ops += n;
         self.counters.dram_write_bytes += 4 * n;
-    }
-
-    /// Draw a uniform float in `[0, 1)`.
-    #[inline]
-    pub fn rand_f32(&mut self) -> f32 {
-        self.rng.next_f32()
-    }
-
-    /// Draw a uniform integer in `[0, bound)`.
-    #[inline]
-    pub fn rand_below(&mut self, bound: u32) -> u32 {
-        self.rng.next_below(bound)
     }
 
     /// Counter-based draw in `[0, 1)`: a pure function of
@@ -193,57 +177,25 @@ impl Device {
     /// `CULDA_NUM_THREADS` wide); their counters are reduced and converted
     /// into simulated time, which is recorded in the device profiler under
     /// `name`.  The result is independent of which thread runs which block:
-    /// every block draws from a [`BlockRng`] keyed on
-    /// `(device seed, launch id, block id)` rather than on any shared RNG
-    /// stream, and the counter reduction goes through the shim's fixed
-    /// partial tree, so neither randomness nor summation order can vary with
-    /// scheduling.
+    /// kernels draw randomness only through [`BlockCtx::stable_f32`] (or the
+    /// counter-based generator it wraps), a pure function of the logical
+    /// unit of work rather than of any shared RNG stream, and the counter
+    /// reduction goes through the shim's fixed partial tree, so neither
+    /// randomness nor summation order can vary with scheduling.
     pub fn launch<K: BlockKernel + ?Sized>(
         &self,
         name: &str,
         config: LaunchConfig,
         kernel: &K,
     ) -> KernelStats {
-        let launch_id = self.next_launch_id();
         let counters: CostCounters = (0..config.grid_blocks)
             .into_par_iter()
             .map(|b| {
-                let rng = BlockRng::new(self.seed, launch_id, b as u64);
-                let mut ctx =
-                    BlockCtx::new(b, self.spec.shared_mem_per_block, rng, self.spec.warp_size);
+                let mut ctx = BlockCtx::new(b, self.spec.shared_mem_per_block, self.spec.warp_size);
                 kernel.run_block(b, &mut ctx);
-                ctx.counters.rng_draws += ctx.rng.draws();
                 ctx.counters
             })
             .sum();
-        let time = self.time_for(&counters, config.grid_blocks);
-        self.record_time(name, time.total_s);
-        KernelStats {
-            name: name.to_owned(),
-            config,
-            counters,
-            time,
-        }
-    }
-
-    /// Launch with sequential block execution (useful for debugging
-    /// order-dependent issues; produces identical counters and time).
-    pub fn launch_sequential<K: BlockKernel + ?Sized>(
-        &self,
-        name: &str,
-        config: LaunchConfig,
-        kernel: &K,
-    ) -> KernelStats {
-        let launch_id = self.next_launch_id();
-        let mut counters = CostCounters::zero();
-        for b in 0..config.grid_blocks {
-            let rng = BlockRng::new(self.seed, launch_id, b as u64);
-            let mut ctx =
-                BlockCtx::new(b, self.spec.shared_mem_per_block, rng, self.spec.warp_size);
-            kernel.run_block(b, &mut ctx);
-            ctx.counters.rng_draws += ctx.rng.draws();
-            counters += ctx.counters;
-        }
         let time = self.time_for(&counters, config.grid_blocks);
         self.record_time(name, time.total_s);
         KernelStats {
@@ -292,32 +244,19 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_launches_agree() {
-        let dev_a = Device::new(0, DeviceSpec::v100_volta(), 9);
-        let dev_b = Device::new(0, DeviceSpec::v100_volta(), 9);
-        let kernel = |_b: usize, ctx: &mut BlockCtx| {
-            let u = ctx.rand_f32();
-            ctx.read_global((u * 100.0) as u64 + 10);
-            ctx.flops(5);
-        };
-        let a = dev_a.launch("k", LaunchConfig::new(200), &kernel);
-        let b = dev_b.launch_sequential("k", LaunchConfig::new(200), &kernel);
-        assert_eq!(a.counters, b.counters);
-        assert_eq!(a.time, b.time);
-    }
-
-    #[test]
     fn launches_are_deterministic_for_a_seed() {
-        let run = |seed| {
-            let dev = Device::new(0, DeviceSpec::gtx_1080(), seed);
-            let kernel = |_b: usize, ctx: &mut BlockCtx| {
-                let r = ctx.rand_below(1000);
-                ctx.read_global(r as u64);
+        // Counters depend on the kernel's RNG seed, never on the device's.
+        let run = |kernel_seed: u64, device_seed: u64| {
+            let dev = Device::new(0, DeviceSpec::gtx_1080(), device_seed);
+            let kernel = |b: usize, ctx: &mut BlockCtx| {
+                let u = ctx.stable_f32(kernel_seed, 0, b as u64);
+                ctx.read_global((u * 1000.0) as u64);
             };
             dev.launch("k", LaunchConfig::new(50), &kernel).counters
         };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
+        assert_eq!(run(7, 1), run(7, 1));
+        assert_eq!(run(7, 1), run(7, 2));
+        assert_ne!(run(7, 1), run(8, 1));
     }
 
     #[test]
@@ -347,9 +286,9 @@ mod tests {
     #[test]
     fn rng_draws_are_counted() {
         let dev = device();
-        let kernel = |_b: usize, ctx: &mut BlockCtx| {
-            for _ in 0..10 {
-                ctx.rand_f32();
+        let kernel = |b: usize, ctx: &mut BlockCtx| {
+            for i in 0..10 {
+                ctx.stable_f32(1, b as u64, i);
             }
         };
         let stats = dev.launch("rng", LaunchConfig::new(8), &kernel);

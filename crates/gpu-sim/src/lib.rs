@@ -78,7 +78,6 @@ pub use memory::{DeviceMemory, OutOfMemory, SharedMemory};
 pub use multi_gpu::MultiGpuSystem;
 pub use occupancy::{ArchLimits, KernelResources, Occupancy, OccupancyLimiter};
 pub use profile::Profiler;
-pub use rng::BlockRng;
 pub use stream::PipelineModel;
 pub use topology::Topology;
 pub use trace::{TraceCollector, TraceKind, TraceSpan};

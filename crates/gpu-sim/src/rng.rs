@@ -1,20 +1,10 @@
-//! Deterministic per-block random number generation.
+//! Deterministic counter-based random number generation.
 //!
 //! CUDA kernels use `curand` with a per-thread state seeded from the global
-//! seed and the thread id; the simulator mirrors that with a small
-//! xoshiro-style generator seeded from `(seed, launch, block)` via SplitMix64
-//! so that results are reproducible regardless of how rayon schedules the
-//! blocks onto host threads.
-
-/// A small, fast, deterministic RNG private to one simulated thread block.
-#[derive(Debug, Clone)]
-pub struct BlockRng {
-    s0: u64,
-    s1: u64,
-    /// Number of draws issued (used by the cost model: RNG draws are ALU
-    /// work, a handful of flops each).
-    draws: u64,
-}
+//! seed and the thread id.  The simulator instead derives every draw from a
+//! stateless counter-based generator keyed by the logical unit of work, so
+//! results are reproducible regardless of how the host pool schedules the
+//! blocks onto threads — or how the corpus is split across devices.
 
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -23,59 +13,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-impl BlockRng {
-    /// Create a generator for `block` of launch number `launch` under the
-    /// global `seed`.
-    pub fn new(seed: u64, launch: u64, block: u64) -> Self {
-        let mut state = seed ^ launch.rotate_left(24) ^ block.rotate_left(48);
-        let s0 = splitmix64(&mut state);
-        let s1 = splitmix64(&mut state);
-        BlockRng {
-            s0: s0 | 1, // never the all-zero state
-            s1,
-            draws: 0,
-        }
-    }
-
-    /// Next raw 64-bit value (xorshift128+).
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        let mut x = self.s0;
-        let y = self.s1;
-        self.s0 = y;
-        x ^= x << 23;
-        self.s1 = x ^ y ^ (x >> 17) ^ (y >> 26);
-        self.s1.wrapping_add(y)
-    }
-
-    /// Next 32-bit value.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    #[inline]
-    pub fn next_f32(&mut self) -> f32 {
-        // 24 mantissa bits, as curand_uniform does.
-        (self.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-
-    /// Uniform draw in `[0, bound)` for `bound > 0`.
-    #[inline]
-    pub fn next_below(&mut self, bound: u32) -> u32 {
-        debug_assert!(bound > 0);
-        (self.next_u64() % bound as u64) as u32
-    }
-
-    /// Number of draws issued so far.
-    #[inline]
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
 }
 
 /// One 64-bit value from the counter-based ("Philox-style") generator: a
@@ -96,7 +33,7 @@ pub fn stable_u64(seed: u64, stream: u64, counter: u64) -> u64 {
 }
 
 /// A uniform draw in `[0, 1)` from the counter-based generator (24 mantissa
-/// bits, matching [`BlockRng::next_f32`]'s `curand_uniform` convention).
+/// bits, as `curand_uniform` does).
 #[inline]
 pub fn stable_f32(seed: u64, stream: u64, counter: u64) -> f32 {
     ((stable_u64(seed, stream, counter) >> 40) as u32) as f32 * (1.0 / (1u32 << 24) as f32)
@@ -105,38 +42,6 @@ pub fn stable_f32(seed: u64, stream: u64, counter: u64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn same_seed_same_sequence() {
-        let mut a = BlockRng::new(1, 2, 3);
-        let mut b = BlockRng::new(1, 2, 3);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn different_blocks_diverge() {
-        let mut a = BlockRng::new(1, 2, 3);
-        let mut b = BlockRng::new(1, 2, 4);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 4);
-    }
-
-    #[test]
-    fn f32_draws_are_in_unit_interval_and_well_spread() {
-        let mut rng = BlockRng::new(7, 0, 0);
-        let n = 20_000;
-        let mut sum = 0.0f64;
-        for _ in 0..n {
-            let x = rng.next_f32();
-            assert!((0.0..1.0).contains(&x));
-            sum += x as f64;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-        assert_eq!(rng.draws(), n);
-    }
 
     #[test]
     fn stable_draws_are_pure_and_well_spread() {
@@ -153,17 +58,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn next_below_respects_bound() {
-        let mut rng = BlockRng::new(9, 1, 1);
-        let mut seen = [false; 7];
-        for _ in 0..1000 {
-            let v = rng.next_below(7) as usize;
-            assert!(v < 7);
-            seen[v] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "all residues should occur");
     }
 }

@@ -12,7 +12,7 @@
 //!   relaxed-ordering *additive* updates (commutative), which is what keeps
 //!   the accumulated counts independent of block scheduling.
 
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,17 +141,6 @@ impl AtomicMatrix {
         AtomicMatrix { rows, cols, data }
     }
 
-    /// Copy a plain matrix into a fresh atomic one.
-    pub fn from_dense(m: &DenseMatrix<u32>) -> Self {
-        let a = AtomicMatrix::zeros(m.rows(), m.cols());
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
-                a.store(r, c, m.get(r, c));
-            }
-        }
-        a
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -219,18 +208,7 @@ impl AtomicMatrix {
         DenseMatrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Element-wise add another atomic matrix into `self`
-    /// (the reduce step of the φ synchronization, §5.2).
-    pub fn add_from(&self, other: &AtomicMatrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (dst, src) in self.data.iter().zip(&other.data) {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Overwrite `self` with the contents of `other`
-    /// (the broadcast step of the φ synchronization, §5.2).
+    /// Overwrite `self` with the contents of `other`.
     pub fn copy_from(&self, other: &AtomicMatrix) {
         assert_eq!(self.rows, other.rows);
         assert_eq!(self.cols, other.cols);
@@ -250,67 +228,6 @@ impl AtomicMatrix {
     /// Size in bytes of the uncompressed (u32) representation.
     pub fn device_bytes_uncompressed(&self) -> u64 {
         (self.data.len() * 4) as u64
-    }
-}
-
-/// A vector of atomic 64-bit signed counters, used for the global topic
-/// totals `n_k` which can exceed 32 bits on billion-token corpora.
-#[derive(Debug)]
-pub struct AtomicCounts {
-    data: Vec<AtomicI64>,
-}
-
-impl AtomicCounts {
-    /// `len` zero-initialised counters.
-    pub fn zeros(len: usize) -> Self {
-        let mut data = Vec::with_capacity(len);
-        data.resize_with(len, || AtomicI64::new(0));
-        AtomicCounts { data }
-    }
-
-    /// Number of counters.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when there are no counters.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Relaxed load.
-    #[inline]
-    pub fn load(&self, i: usize) -> i64 {
-        self.data[i].load(Ordering::Relaxed)
-    }
-
-    /// Relaxed store.
-    #[inline]
-    pub fn store(&self, i: usize, v: i64) {
-        self.data[i].store(v, Ordering::Relaxed)
-    }
-
-    /// Atomic add (may be negative).
-    #[inline]
-    pub fn fetch_add(&self, i: usize, v: i64) -> i64 {
-        self.data[i].fetch_add(v, Ordering::Relaxed)
-    }
-
-    /// Reset all counters to zero.
-    pub fn clear(&self) {
-        for x in &self.data {
-            x.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot to a plain vector.
-    pub fn to_vec(&self) -> Vec<i64> {
-        self.data
-            .iter()
-            .map(|x| x.load(Ordering::Relaxed))
-            .collect()
     }
 }
 
@@ -362,14 +279,12 @@ mod tests {
     }
 
     #[test]
-    fn atomic_add_from_and_copy_from() {
+    fn atomic_copy_from_overwrites() {
         let a = AtomicMatrix::zeros(1, 3);
         let b = AtomicMatrix::zeros(1, 3);
-        a.fetch_add(0, 0, 1);
-        b.fetch_add(0, 0, 2);
-        b.fetch_add(0, 2, 9);
-        a.add_from(&b);
-        assert_eq!(a.to_dense().as_slice(), &[3, 0, 9]);
+        a.fetch_add(0, 0, 3);
+        a.fetch_add(0, 2, 9);
+        b.fetch_add(0, 1, 4);
         b.copy_from(&a);
         assert_eq!(b.to_dense().as_slice(), &[3, 0, 9]);
     }
@@ -378,7 +293,6 @@ mod tests {
     fn atomic_matrix_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<AtomicMatrix>();
-        assert_send_sync::<AtomicCounts>();
     }
 
     #[test]
@@ -389,18 +303,6 @@ mod tests {
             a.fetch_add(i % 4, (i / 4) % 4, 1);
         });
         assert_eq!(a.to_dense().total(), 1000);
-    }
-
-    #[test]
-    fn atomic_counts_add_and_clear() {
-        let c = AtomicCounts::zeros(3);
-        c.fetch_add(0, 10);
-        c.fetch_add(0, -4);
-        c.fetch_add(2, 7);
-        assert_eq!(c.to_vec(), vec![6, 0, 7]);
-        assert_eq!(c.len(), 3);
-        c.clear();
-        assert_eq!(c.to_vec(), vec![0, 0, 0]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn assignments_are_invariant_to_the_shard_count() {
 fn shard_count_clamps_to_the_vocabulary() {
     let corpus = fixtures::tiny(fixtures::FIXTURE_SEED);
     let trainer = trained(&corpus, 1, 10_000, 2);
-    assert_eq!(trainer.sync_plan().shards(), corpus.vocab_size());
+    assert_eq!(trainer.hier_sync_plan().shards(), corpus.vocab_size());
     trainer.validate().unwrap();
 }
 
@@ -76,8 +76,8 @@ fn shard_count_clamps_to_the_vocabulary() {
 fn single_shard_plan_degenerates_to_the_dense_schedule() {
     let corpus = fixtures::medium(fixtures::FIXTURE_SEED);
     let dense = trained(&corpus, 4, 1, 0);
-    assert!(dense.sync_plan().is_dense());
-    assert_eq!(dense.sync_plan(), SyncPlan::dense());
+    assert!(dense.hier_sync_plan().is_dense());
+    assert_eq!(dense.hier_sync_plan().base(), SyncPlan::dense());
     // A 1-shard plan with overlap enabled must cost exactly the same: there
     // is nothing to overlap with.
     let one_shard = trained(&corpus, 4, 1, 4);
