@@ -439,9 +439,14 @@ impl BlockKernel for AliasBuildBlock<'_> {
         // the MH ratio needs is reconstructed from φ̂ and the per-chunk n̂_k
         // snapshot (K × 8 bytes per rebuild, amortised over every word) at
         // two flops per evaluation.
-        let weights: Vec<f64> = (0..k)
-            .map(|kk| {
-                (self.state.phi_global.load(kk, v) as f64 + beta)
+        let weights: Vec<f64> = self
+            .state
+            .phi_global
+            .column(v)
+            .iter()
+            .enumerate()
+            .map(|(kk, phi_kv)| {
+                (phi_kv.load(Ordering::Relaxed) as f64 + beta)
                     / (self.state.nk_global.get(kk) as f64 + v_beta)
             })
             .collect();

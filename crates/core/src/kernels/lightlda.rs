@@ -524,7 +524,13 @@ impl BlockKernel for LightBuildBlock<'_> {
 
         // The column scan is unavoidable (the counts live there); what the
         // pruned form saves is the table construction and its footprint.
-        let counts: Vec<u32> = (0..k).map(|kk| self.state.phi_global.load(kk, v)).collect();
+        let counts: Vec<u32> = self
+            .state
+            .phi_global
+            .column(v)
+            .iter()
+            .map(|phi_kv| phi_kv.load(Ordering::Relaxed))
+            .collect();
         ctx.read_global(k as u64 * int_bytes); // φ̂[·, v]
         ctx.flops(k as u64); // accumulate the column total
         let proposal = WordProposal::build(&counts, self.config.beta, self.prune_below);

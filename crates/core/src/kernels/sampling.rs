@@ -23,7 +23,7 @@ use crate::work::WorkItem;
 use culda_gpusim::rng::stable_f32;
 use culda_gpusim::{BlockCtx, BlockKernel};
 use culda_sparse::prefix::search_prefix;
-use culda_sparse::{DenseMatrix, IndexTree};
+use culda_sparse::{DenseMatrix, IndexTree, TopicId};
 use std::sync::atomic::Ordering;
 
 /// The paper's exact S/Q-split collapsed Gibbs sampler — the default
@@ -112,6 +112,12 @@ pub struct SparseCgsBlock<'a> {
     pub iteration: u64,
 }
 
+impl BlockKernel for SparseCgsBlock<'_> {
+    fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
+        self.run_block_with(block_id, ctx, p1_prefix_sums);
+    }
+}
+
 impl SparseCgsBlock<'_> {
     /// Bytes of a compressed (or not) integer model element.
     #[inline]
@@ -122,10 +128,13 @@ impl SparseCgsBlock<'_> {
             4
         }
     }
-}
 
-impl BlockKernel for SparseCgsBlock<'_> {
-    fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
+    /// The kernel body, generic over the p1 fill ([`p1_prefix_sums`]) so the
+    /// tests can run it against a reference fill.
+    fn run_block_with<F>(&self, block_id: usize, ctx: &mut BlockCtx, fill_p1: F)
+    where
+        F: Fn(&mut Vec<f32>, &[TopicId], &[u32], usize, &[f32], f32) -> f32,
+    {
         let item = &self.items[block_id];
         if item.is_empty() {
             return;
@@ -145,11 +154,12 @@ impl BlockKernel for SparseCgsBlock<'_> {
         // 32-bit totals from global memory; 2 flops per topic to form p*.
         // The raw φ[·,v] and n_k values are kept so each token can remove its
         // own contribution (the n^{¬dv} correction of collapsed Gibbs).
+        // φ is stored word-major, so φ[·, v] is one contiguous run.
         let mut phi_col = vec![0.0f32; k];
         let mut nk_vals = vec![0.0f32; k];
         let mut p_star = vec![0.0f32; k];
-        for kk in 0..k {
-            phi_col[kk] = state.phi_global.load(kk, v) as f32;
+        for (kk, phi_kv) in state.phi_global.column(v).iter().enumerate() {
+            phi_col[kk] = phi_kv.load(Ordering::Relaxed) as f32;
             nk_vals[kk] = state.nk_global.get(kk) as f32;
             p_star[kk] = (phi_col[kk] + beta) / (nk_vals[kk] + beta_v);
         }
@@ -209,18 +219,7 @@ impl BlockKernel for SparseCgsBlock<'_> {
             // p1(k) = θ_{d,k} · p*(k): one multiply and one add per non-zero,
             // with the p* lookups served from shared memory.  The current
             // topic's own count is excluded.
-            p1_prefix.clear();
-            let mut s = 0.0f32;
-            for i in 0..kd {
-                let kk = cols[i] as usize;
-                let w = if kk == c {
-                    (vals[i] as f32 - 1.0).max(0.0) * p_star_c
-                } else {
-                    vals[i] as f32 * p_star[kk]
-                };
-                s += w;
-                p1_prefix.push(s);
-            }
+            let s = fill_p1(&mut p1_prefix, cols, vals, c, &p_star, p_star_c);
             ctx.flops(2 * kd as u64);
             if in_shared {
                 ctx.shared_traffic(4 * kd as u64);
@@ -305,6 +304,63 @@ impl BlockKernel for SparseCgsBlock<'_> {
     }
 }
 
+/// Writes the running sums of `p1(k) = θ_{d,k} · p*(k)` over one θ row
+/// segment into `out`, continuing from `s`, and returns the last sum.
+#[inline]
+fn accumulate_p1(
+    out: &mut [f32],
+    cols: &[TopicId],
+    vals: &[u32],
+    p_star: &[f32],
+    mut s: f32,
+) -> f32 {
+    for ((slot, &kk), &n) in out.iter_mut().zip(cols).zip(vals) {
+        s += n as f32 * p_star[kk as usize];
+        *slot = s;
+    }
+    s
+}
+
+/// Fills `p1_prefix` with the running sums of the sparse part `p1` of one
+/// document's θ row and returns its total `S`.  The token's own topic `c`
+/// contributes `(θ_{d,c} − 1)⁺ · p*_c` (its count excluded, with the
+/// self-excluded `p*_c`); every other non-zero contributes `θ_{d,k} · p*(k)`.
+/// θ rows are sorted, so `c` is located once and the rest are two
+/// straight-line multiply-add runs around it.
+fn p1_prefix_sums(
+    p1_prefix: &mut Vec<f32>,
+    cols: &[TopicId],
+    vals: &[u32],
+    c: usize,
+    p_star: &[f32],
+    p_star_c: f32,
+) -> f32 {
+    debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "θ row not sorted");
+    let kd = cols.len();
+    p1_prefix.resize(kd, 0.0);
+    let own = cols.binary_search(&(c as TopicId)).unwrap_or(kd);
+    let s = accumulate_p1(
+        &mut p1_prefix[..own],
+        &cols[..own],
+        &vals[..own],
+        p_star,
+        0.0,
+    );
+    if own == kd {
+        return s;
+    }
+    let s = s + (vals[own] as f32 - 1.0).max(0.0) * p_star_c;
+    p1_prefix[own] = s;
+    let next = own + 1;
+    accumulate_p1(
+        &mut p1_prefix[next..],
+        &cols[next..],
+        &vals[next..],
+        p_star,
+        s,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,6 +422,106 @@ mod tests {
         );
         assert!(stats.counters.dram_read_bytes > 0);
         assert!(stats.time.total_s > 0.0);
+    }
+
+    /// The per-non-zero p1 loop the kernel used before [`p1_prefix_sums`]:
+    /// one `kk == c` branch and one push per θ non-zero.  Kept as the oracle
+    /// the straight-line fill must match bit for bit.
+    fn p1_prefix_sums_branchy(
+        p1_prefix: &mut Vec<f32>,
+        cols: &[TopicId],
+        vals: &[u32],
+        c: usize,
+        p_star: &[f32],
+        p_star_c: f32,
+    ) -> f32 {
+        p1_prefix.clear();
+        let mut s = 0.0f32;
+        for i in 0..cols.len() {
+            let kk = cols[i] as usize;
+            let w = if kk == c {
+                (vals[i] as f32 - 1.0).max(0.0) * p_star_c
+            } else {
+                vals[i] as f32 * p_star[kk]
+            };
+            s += w;
+            p1_prefix.push(s);
+        }
+        s
+    }
+
+    /// [`SparseCgsBlock`] running the oracle p1 loop.
+    struct BranchyBlock<'a>(SparseCgsBlock<'a>);
+
+    impl BlockKernel for BranchyBlock<'_> {
+        fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
+            self.0.run_block_with(block_id, ctx, p1_prefix_sums_branchy);
+        }
+    }
+
+    #[test]
+    fn straight_line_p1_matches_the_branchy_oracle_bit_for_bit() {
+        for (k, seed) in [(8, 21), (64, 22), (256, 23)] {
+            let state = make_state(k, seed);
+            // The corpus must exercise the edge cases of the split: a zero
+            // self-excluded weight (θ_{d,c} = 1) and c at either end of its
+            // θ row.
+            let (mut unit, mut first, mut last) = (0, 0, 0);
+            {
+                let theta = state.theta.read();
+                for pos in 0..state.num_tokens() {
+                    let d = state.layout.token_doc[pos] as usize;
+                    let c = state.z[pos].load(Ordering::Relaxed);
+                    let (cols, vals) = theta.row(d);
+                    let i = cols.binary_search(&c).expect("z is counted in θ");
+                    unit += usize::from(vals[i] == 1);
+                    first += usize::from(i == 0);
+                    last += usize::from(i + 1 == cols.len());
+                }
+            }
+            assert!(
+                unit > 0 && first > 0 && last > 0,
+                "K={k}: {unit} {first} {last}"
+            );
+
+            let cfg = LdaConfig::with_topics(k);
+            let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
+            let dev = Device::new(0, DeviceSpec::v100_volta(), 3);
+            let launch = LaunchConfig::new(items.len());
+            let z_next = |state: &ChunkState| -> Vec<u16> {
+                state
+                    .z_next
+                    .iter()
+                    .map(|z| z.load(Ordering::Relaxed))
+                    .collect()
+            };
+            for iteration in 0..3 {
+                let block = || SparseCgsBlock {
+                    state: &state,
+                    items: &items,
+                    config: &cfg,
+                    iteration,
+                };
+                let oracle = dev.launch("Sampling", launch, &BranchyBlock(block()));
+                let oracle_z = z_next(&state);
+                let fast = dev.launch("Sampling", launch, &block());
+                assert_eq!(z_next(&state), oracle_z, "K={k} iteration {iteration}");
+                assert_eq!(
+                    fast.counters, oracle.counters,
+                    "K={k} iteration {iteration}"
+                );
+            }
+        }
+
+        // A row that does not hold the token's topic takes no exclusion.
+        let p_star: Vec<f32> = (0..16).map(|kk| 0.01 + kk as f32 * 0.003).collect();
+        let (cols, vals) = ([1 as TopicId, 4, 9, 15], [3u32, 1, 2, 7]);
+        for c in [0, 1, 4, 5, 9, 15] {
+            let (mut fast, mut oracle) = (Vec::new(), Vec::new());
+            let s = p1_prefix_sums(&mut fast, &cols, &vals, c, &p_star, 0.5);
+            let s_oracle = p1_prefix_sums_branchy(&mut oracle, &cols, &vals, c, &p_star, 0.5);
+            assert_eq!((s.to_bits(), fast), (s_oracle.to_bits(), oracle), "c={c}");
+        }
     }
 
     #[test]

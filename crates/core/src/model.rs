@@ -324,7 +324,7 @@ impl ChunkState {
                 self.num_tokens()
             ));
         }
-        let phi_total: u64 = self.phi_local.to_dense().total();
+        let phi_total = self.phi_local.total();
         if phi_total != self.num_tokens() as u64 {
             return Err(format!(
                 "φ_local total {phi_total} does not match chunk token count {}",

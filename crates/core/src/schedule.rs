@@ -383,10 +383,7 @@ mod tests {
             st.validate_counts().unwrap();
         }
         // Global φ covers the whole corpus after the sync.
-        assert_eq!(
-            states[0].phi_global.to_dense().total() as usize,
-            total_tokens
-        );
+        assert_eq!(states[0].phi_global.total() as usize, total_tokens);
     }
 
     #[test]

@@ -454,13 +454,14 @@ pub fn synchronize_phi_hier_over_ranges(
     let v = states[0].phi_local.cols();
     debug_assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), v);
 
-    // --- Functional part: sum the locals row by row straight into every
-    // distinct global (one for a trainer, whose chunks share it).  Shards
-    // only structure the costed schedule, so the pass ignores them. ---
+    // --- Functional part: sum the locals word by word (φ is stored
+    // word-major) straight into every distinct global (one for a trainer,
+    // whose chunks share it).  Shards only structure the costed schedule,
+    // so the pass ignores them. ---
     let phi_globals = distinct(states.iter().map(|st| &st.phi_global));
     let nk_globals = distinct(states.iter().map(|st| &st.nk_global));
-    (0..k).into_par_iter().for_each(|row| {
-        for col in 0..v {
+    (0..v).into_par_iter().for_each(|col| {
+        for row in 0..k {
             let sum: u32 = states.iter().map(|st| st.phi_local.load(row, col)).sum();
             for global in &phi_globals {
                 global.store(row, col, sum);
@@ -586,7 +587,7 @@ mod tests {
 
         // Every chunk sees the same global matrix, and it sums to the corpus
         // token count.
-        let total: u64 = states[0].phi_global.to_dense().total();
+        let total: u64 = states[0].phi_global.total();
         assert_eq!(total, corpus.num_tokens() as u64);
         for st in &states[1..] {
             assert_eq!(st.phi_global.to_dense(), states[0].phi_global.to_dense());
@@ -607,10 +608,7 @@ mod tests {
         let system = MultiGpuSystem::single(DeviceSpec::v100_volta(), 3);
         let stats = flat_sync(&states, &system, SyncPlan::dense(), true).stats;
         assert_eq!(stats.time_s, 0.0);
-        assert_eq!(
-            states[0].phi_global.to_dense().total(),
-            corpus.num_tokens() as u64
-        );
+        assert_eq!(states[0].phi_global.total(), corpus.num_tokens() as u64);
     }
 
     #[test]

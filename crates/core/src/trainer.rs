@@ -540,13 +540,10 @@ impl CuLdaTrainer {
 
     /// The `n` highest-count words of a topic (for qualitative inspection).
     pub fn top_words(&self, topic: usize, n: usize) -> Vec<(u32, u32)> {
-        let phi = self.global_phi();
-        let mut pairs: Vec<(u32, u32)> = phi
-            .row(topic)
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(w, &c)| (w as u32, c))
+        let phi = &self.states[0].phi_global;
+        let mut pairs: Vec<(u32, u32)> = (0..phi.cols())
+            .map(|w| (w as u32, phi.load(topic, w)))
+            .filter(|&(_, c)| c > 0)
             .collect();
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         pairs.truncate(n);
@@ -587,7 +584,7 @@ impl CuLdaTrainer {
         for state in &self.states {
             state.validate_counts()?;
         }
-        let total: u64 = self.global_phi().total();
+        let total = self.states[0].phi_global.total();
         if total != self.total_tokens {
             return Err(format!(
                 "global φ covers {total} tokens, corpus has {}",

@@ -10,7 +10,10 @@
 //!   during the update kernels.  Blocks execute on real OS threads, so these
 //!   atomics are load-bearing, not simulation theater: they must stay
 //!   relaxed-ordering *additive* updates (commutative), which is what keeps
-//!   the accumulated counts independent of block scheduling.
+//!   the accumulated counts independent of block scheduling.  It is stored
+//!   column-major (word-major for φ), so one word's `K` topic counts are one
+//!   contiguous slice; [`AtomicMatrix::to_dense`] transposes back to the
+//!   row-major `K × V` form everything outside the kernels sees.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -124,8 +127,11 @@ impl DenseMatrix<u32> {
 }
 
 /// A dense matrix of `AtomicU32`, used where simulated thread blocks running
-/// on different host threads must update the same model replica (update-φ,
-/// §6.2, and the dense scratch row of update-θ).
+/// on different host threads must update the same model replica: the φ
+/// counts of update-φ (§6.2), read per word by the sampling kernels.
+///
+/// Storage is column-major so that [`AtomicMatrix::column`] is a contiguous
+/// slice; `(row, col)` indexing means the same as for [`DenseMatrix`].
 #[derive(Debug)]
 pub struct AtomicMatrix {
     rows: usize,
@@ -156,7 +162,13 @@ impl AtomicMatrix {
     #[inline]
     fn idx(&self, r: usize, c: usize) -> usize {
         debug_assert!(r < self.rows && c < self.cols);
-        r * self.cols + c
+        c * self.rows + r
+    }
+
+    /// Column `c` (for φ: the `K` topic counts of word `c`) in row order.
+    #[inline]
+    pub fn column(&self, c: usize) -> &[AtomicU32] {
+        &self.data[c * self.rows..(c + 1) * self.rows]
     }
 
     /// Relaxed load of element `(r, c)`.
@@ -198,14 +210,29 @@ impl AtomicMatrix {
         }
     }
 
-    /// Snapshot into a plain matrix.
+    /// Snapshot into a plain row-major matrix: a transpose of the storage,
+    /// done in strips of `STRIP` columns so each output row segment is
+    /// written contiguously while the strip's columns are read in order.
     pub fn to_dense(&self) -> DenseMatrix<u32> {
-        let data = self
-            .data
+        const STRIP: usize = 64;
+        let mut out = DenseMatrix::zeros(self.rows, self.cols);
+        for c0 in (0..self.cols).step_by(STRIP) {
+            let c1 = (c0 + STRIP).min(self.cols);
+            for r in 0..self.rows {
+                for (c, dst) in (c0..c1).zip(&mut out.row_mut(r)[c0..c1]) {
+                    *dst = self.load(r, c);
+                }
+            }
+        }
+        out
+    }
+
+    /// Sum of every element, in storage order (no transpose).
+    pub fn total(&self) -> u64 {
+        self.data
             .iter()
-            .map(|x| x.load(Ordering::Relaxed))
-            .collect();
-        DenseMatrix::from_vec(self.rows, self.cols, data)
+            .map(|x| x.load(Ordering::Relaxed) as u64)
+            .sum()
     }
 
     /// Overwrite `self` with the contents of `other`.
@@ -289,6 +316,55 @@ mod tests {
         assert_eq!(b.to_dense().as_slice(), &[3, 0, 9]);
     }
 
+    /// The distinct value [`numbered`] stores at `(r, c)`.
+    fn cell(r: usize, c: usize) -> u32 {
+        (r * 1000 + c) as u32 + 1
+    }
+
+    /// A matrix holding [`cell`] at every `(r, c)`, written through `store`.
+    fn numbered(rows: usize, cols: usize) -> AtomicMatrix {
+        let a = AtomicMatrix::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                a.store(r, c, cell(r, c));
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn atomic_column_is_the_word_major_view_of_load() {
+        let a = numbered(70, 65);
+        for c in 0..65 {
+            let col = a.column(c);
+            assert_eq!(col.len(), 70);
+            for (r, x) in col.iter().enumerate() {
+                assert_eq!(x.load(Ordering::Relaxed), a.load(r, c));
+                assert_eq!(a.load(r, c), cell(r, c));
+            }
+        }
+    }
+
+    #[test]
+    fn atomic_to_dense_copy_from_and_total_round_trip_off_strip_shapes() {
+        // Shapes that are not multiples of the transpose strip.
+        for (rows, cols) in [(1, 1), (3, 130), (70, 65)] {
+            let a = numbered(rows, cols);
+            let d = a.to_dense();
+            assert_eq!((d.rows(), d.cols()), (rows, cols));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(d.get(r, c), cell(r, c), "({r},{c}) of {rows}x{cols}");
+                }
+            }
+            assert_eq!(a.total(), d.total());
+            let b = AtomicMatrix::zeros(rows, cols);
+            b.copy_from(&a);
+            assert_eq!(b.to_dense(), d);
+            assert_eq!(b.total(), d.total());
+        }
+    }
+
     #[test]
     fn atomic_matrix_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -302,6 +378,7 @@ mod tests {
         (0..1000usize).into_par_iter().for_each(|i| {
             a.fetch_add(i % 4, (i / 4) % 4, 1);
         });
+        assert_eq!(a.total(), 1000);
         assert_eq!(a.to_dense().total(), 1000);
     }
 
