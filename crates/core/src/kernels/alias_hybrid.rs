@@ -29,62 +29,27 @@
 
 use crate::config::LdaConfig;
 use crate::kernels::sampler::{SamplerKernel, SamplerResumeState, BURN_STREAM_BASE};
+use crate::kernels::stale::{Prepare, StaleCache, StaleTables};
 use crate::model::ChunkState;
 use crate::work::{chunk_words, WorkItem};
 use culda_gpusim::rng::{stable_f32, stable_u64};
-use culda_gpusim::{BlockCtx, BlockKernel, Device, LaunchConfig};
+use culda_gpusim::{BlockCtx, BlockKernel, Device, KernelStats, LaunchConfig};
 use culda_sparse::{DenseMatrix, StaleAliasProposal};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// The stale per-word tables of one chunk, tagged with the iteration they
-/// were built at.
-struct ChunkTables {
-    /// Iteration whose synchronized φ the tables snapshot.
-    built_at: u64,
-    /// `StaleAliasProposal` per word id (`None` for words without tokens in
-    /// the chunk).
-    proposals: Vec<Option<StaleAliasProposal>>,
-}
-
-/// The global `(φ, n_k)` snapshot the stale tables were last built from —
-/// exactly the φ̂/n̂ the device keeps next to each table (see
-/// [`AliasBuildBlock`]).  This is what a checkpoint carries: per-chunk
-/// proposals are a deterministic function of it, so a resumed sampler
-/// reconstructs them bit-exactly instead of rebuilding fresh tables from the
-/// *current* φ (which would diverge from the uninterrupted run until the
-/// next cadence rebuild).
-struct TablesSnapshot {
-    /// Iteration whose synchronized φ this snapshot captures.
-    built_at: u64,
-    /// The synchronized φ at `built_at` (`K × V`).
-    phi_hat: DenseMatrix<u32>,
-    /// The topic totals at `built_at`.
-    nk_hat: Vec<i64>,
-    /// True when the snapshot was restored from a checkpoint rather than
-    /// captured from a live rebuild.  Only a restored snapshot may satisfy a
-    /// chunk's missing tables without a device build (the uninterrupted run
-    /// paid that build before the checkpoint, so the resumed run must not
-    /// charge it again — nor rebuild from the wrong φ).
-    restored: bool,
-}
 
 /// Stale-alias + Metropolis–Hastings hybrid sampler
 /// ([`crate::SamplerStrategy::AliasHybrid`]).  See the [module
 /// docs](crate::kernels::alias_hybrid) for the algorithm and determinism
 /// argument.
 pub struct AliasHybridSampler {
-    rebuild_every: u64,
     mh_steps: usize,
-    /// Per-chunk stale tables, keyed by chunk id.  Rebuilt by
-    /// [`SamplerKernel::prepare_chunk`] on the configured cadence.
-    chunks: Mutex<BTreeMap<usize, Arc<ChunkTables>>>,
-    /// The global snapshot behind the current tables: captured at every
-    /// cadence rebuild (for [`SamplerKernel::resume_state`]) or installed by
+    /// The stale tables of the current rebuild, shared by every chunk, and
+    /// the global `(φ̂, n̂)` snapshot behind them: captured at every cadence
+    /// rebuild (for [`SamplerKernel::resume_state`]) or installed by
     /// [`SamplerKernel::restore_resume_state`] on a checkpoint resume.
-    snapshot: Mutex<Option<Arc<TablesSnapshot>>>,
+    tables: StaleCache<StaleAliasProposal>,
 }
 
 impl AliasHybridSampler {
@@ -92,19 +57,16 @@ impl AliasHybridSampler {
     /// iterations and correcting with `mh_steps` MH steps per token (both
     /// must be ≥ 1, as [`crate::SamplerStrategy::validate`] enforces).
     pub fn new(rebuild_every: usize, mh_steps: usize) -> Self {
-        assert!(rebuild_every >= 1, "rebuild_every must be at least 1");
         assert!(mh_steps >= 1, "mh_steps must be at least 1");
         AliasHybridSampler {
-            rebuild_every: rebuild_every as u64,
             mh_steps,
-            chunks: Mutex::new(BTreeMap::new()),
-            snapshot: Mutex::new(None),
+            tables: StaleCache::new(rebuild_every),
         }
     }
 
     /// The configured rebuild cadence.
     pub fn rebuild_every(&self) -> usize {
-        self.rebuild_every as usize
+        self.tables.rebuild_every()
     }
 
     /// The configured MH steps per token.
@@ -112,39 +74,57 @@ impl AliasHybridSampler {
         self.mh_steps
     }
 
-    /// Whether `iteration` rebuilds the tables of a chunk last built at
-    /// `built_at` (tables are always built when none exist yet — the first
-    /// iteration after construction or a checkpoint resume).
-    fn needs_rebuild(&self, built_at: Option<u64>, iteration: u64) -> bool {
-        match built_at {
-            None => true,
-            Some(at) => iteration > at && iteration.is_multiple_of(self.rebuild_every),
-        }
-    }
-
-    /// Reconstruct one chunk's per-word proposals from a restored global
-    /// snapshot — the same `(φ̂ + β) / (n̂ + Vβ)` f64 arithmetic as
-    /// [`AliasBuildBlock`], evaluated on the same `u32`/`i64` inputs, so the
-    /// tables are bit-identical to the ones the uninterrupted run built.
+    /// Fill the chunk's words of a restored set from its global snapshot —
+    /// the same `(φ̂ + β) / (n̂ + Vβ)` f64 arithmetic as [`AliasBuildBlock`],
+    /// evaluated on the same `u32`/`i64` inputs, so the tables are
+    /// bit-identical to the ones the uninterrupted run built.
     fn proposals_from_snapshot(
-        snap: &TablesSnapshot,
+        set: &StaleTables<StaleAliasProposal>,
         state: &ChunkState,
         config: &LdaConfig,
-    ) -> Vec<Option<StaleAliasProposal>> {
+    ) {
         let k = config.num_topics;
         let beta = config.beta;
         let v_beta = beta * state.layout.vocab_size as f64;
-        let mut proposals: Vec<Option<StaleAliasProposal>> = vec![None; state.layout.vocab_size];
+        let snap = set.snapshot();
         for w in chunk_words(&state.layout) {
             let v = w as usize;
-            let weights: Vec<f64> = (0..k)
-                .map(|kk| {
-                    (snap.phi_hat.get(kk, v) as f64 + beta) / (snap.nk_hat[kk] as f64 + v_beta)
-                })
-                .collect();
-            proposals[v] = Some(StaleAliasProposal::from_weights(weights));
+            set.get_or_build(v, || {
+                StaleAliasProposal::from_weights(
+                    (0..k)
+                        .map(|kk| {
+                            (snap.phi_hat.get(kk, v) as f64 + beta)
+                                / (snap.nk_hat[kk] as f64 + v_beta)
+                        })
+                        .collect(),
+                )
+            });
         }
-        proposals
+    }
+
+    /// Launch the alias-build kernel over the chunk's words into `set`
+    /// (`None` for a chunk without tokens).
+    fn launch_build(
+        device: &Device,
+        state: &ChunkState,
+        config: &LdaConfig,
+        set: &StaleTables<StaleAliasProposal>,
+    ) -> Option<KernelStats> {
+        let words = chunk_words(&state.layout);
+        if words.is_empty() {
+            return None;
+        }
+        let build = AliasBuildBlock {
+            state,
+            config,
+            words: &words,
+            tables: set,
+        };
+        Some(device.launch(
+            crate::kernels::names::ALIAS_BUILD,
+            LaunchConfig::new(words.len()),
+            &build,
+        ))
     }
 }
 
@@ -155,7 +135,12 @@ impl SamplerKernel for AliasHybridSampler {
 
     /// Rebuild the chunk's stale tables on the configured cadence by
     /// launching the alias-build kernel on `device`; returns the simulated
-    /// build span (0 on non-rebuild iterations).
+    /// build span (0 on non-rebuild iterations).  After a checkpoint resume
+    /// the restored snapshot stands in for the tables the uninterrupted run
+    /// would still be holding: the chunk's words are filled host-side
+    /// (bit-identical, see `proposals_from_snapshot`) at no charge, since
+    /// the original build was paid before the checkpoint.  If the resume
+    /// lands on a rebuild iteration anyway, the ordinary build runs.
     fn prepare_chunk(
         &self,
         device: &Device,
@@ -163,107 +148,34 @@ impl SamplerKernel for AliasHybridSampler {
         config: &LdaConfig,
         iteration: u64,
     ) -> f64 {
-        let built_at = self.chunks.lock().get(&state.chunk_id).map(|t| t.built_at);
-        if built_at.is_none() {
-            // A chunk with no tables yet normally means a fresh sampler —
-            // but after a checkpoint resume the restored snapshot stands in
-            // for the tables the uninterrupted run would still be holding:
-            // reconstruct them host-side (bit-identical, see
-            // `proposals_from_snapshot`) and charge nothing, since the
-            // original build was paid before the checkpoint.  If the resume
-            // lands on a rebuild iteration anyway, fall through to the
-            // ordinary fresh build.
-            let restored = self
-                .snapshot
-                .lock()
-                .clone()
-                .filter(|s| s.restored && s.phi_hat.cols() == state.layout.vocab_size);
-            if let Some(snap) = restored {
-                if !self.needs_rebuild(Some(snap.built_at), iteration) {
-                    let proposals = Self::proposals_from_snapshot(&snap, state, config);
-                    self.chunks.lock().insert(
-                        state.chunk_id,
-                        Arc::new(ChunkTables {
-                            built_at: snap.built_at,
-                            proposals,
-                        }),
-                    );
-                    return 0.0;
-                }
+        match self.tables.prepare(state, iteration) {
+            Prepare::Keep => 0.0,
+            Prepare::Restore(set) => {
+                Self::proposals_from_snapshot(&set, state, config);
+                0.0
             }
+            Prepare::Build(set) => Self::launch_build(device, state, config, &set)
+                .map_or(0.0, |stats| stats.time.total_s),
         }
-        if !self.needs_rebuild(built_at, iteration) {
-            return 0.0;
-        }
-        let words = chunk_words(&state.layout);
-        let mut proposals: Vec<Option<StaleAliasProposal>> = vec![None; state.layout.vocab_size];
-        let span = if words.is_empty() {
-            0.0
-        } else {
-            let slots: Vec<Mutex<Option<StaleAliasProposal>>> =
-                (0..words.len()).map(|_| Mutex::new(None)).collect();
-            let build = AliasBuildBlock {
-                state,
-                config,
-                words: &words,
-                slots: &slots,
-            };
-            let stats = device.launch(
-                crate::kernels::names::ALIAS_BUILD,
-                LaunchConfig::new(words.len()),
-                &build,
-            );
-            for (&w, slot) in words.iter().zip(slots) {
-                proposals[w as usize] = slot.into_inner();
-            }
-            stats.time.total_s
-        };
-        self.chunks.lock().insert(
-            state.chunk_id,
-            Arc::new(ChunkTables {
-                built_at: iteration,
-                proposals,
-            }),
-        );
-        // Capture the global snapshot behind this rebuild once per rebuild
-        // iteration (every chunk reads the one synchronized φ, so the first
-        // chunk's capture covers them all) — it is what a checkpoint
-        // taken before the next rebuild needs for a bit-exact resume.
-        {
-            let mut snap = self.snapshot.lock();
-            if snap
-                .as_ref()
-                .is_none_or(|s| s.restored || s.built_at != iteration)
-            {
-                *snap = Some(Arc::new(TablesSnapshot {
-                    built_at: iteration,
-                    phi_hat: state.phi_global.to_dense(),
-                    nk_hat: state.nk_global.to_vec(),
-                    restored: false,
-                }));
-            }
-        }
-        span
     }
 
     /// The `(φ̂, n̂)` snapshot behind the current stale tables, so a
     /// checkpoint taken mid-cadence resumes with the *same* tables instead
     /// of fresh ones (`None` until the first rebuild ever runs).
     fn resume_state(&self) -> Option<SamplerResumeState> {
-        self.snapshot
-            .lock()
-            .as_ref()
+        self.tables
+            .current()
             .map(|s| SamplerResumeState::AliasTables {
                 built_at: s.built_at,
-                phi_hat: s.phi_hat.clone(),
-                nk_hat: s.nk_hat.clone(),
+                phi_hat: s.snapshot().phi_hat.clone(),
+                nk_hat: s.snapshot().nk_hat.clone(),
             })
     }
 
     /// Install a checkpointed snapshot; the next
-    /// [`SamplerKernel::prepare_chunk`] of each chunk reconstructs its
-    /// proposals from it instead of rebuilding from the current φ, keeping
-    /// the resumed run bit-exact and on the original rebuild cadence.
+    /// [`SamplerKernel::prepare_chunk`] of each chunk fills its proposals
+    /// from it instead of rebuilding from the current φ, keeping the
+    /// resumed run bit-exact and on the original rebuild cadence.
     fn restore_resume_state(&self, state: &SamplerResumeState) {
         // States captured by other portfolio members are ignored (checkpoint
         // validation rejects such mismatches before they get here anyway).
@@ -273,12 +185,8 @@ impl SamplerKernel for AliasHybridSampler {
             nk_hat,
         } = state
         {
-            *self.snapshot.lock() = Some(Arc::new(TablesSnapshot {
-                built_at: *built_at,
-                phi_hat: phi_hat.clone(),
-                nk_hat: nk_hat.clone(),
-                restored: true,
-            }));
+            self.tables
+                .restore(*built_at, phi_hat.clone(), nk_hat.clone());
         }
     }
 
@@ -289,19 +197,13 @@ impl SamplerKernel for AliasHybridSampler {
         config: &'a LdaConfig,
         iteration: u64,
     ) -> Box<dyn BlockKernel + 'a> {
-        let tables = self
-            .chunks
-            .lock()
-            .get(&state.chunk_id)
-            .cloned()
-            .expect("prepare_chunk must run before sampling_kernel");
         Box::new(AliasSampleBlock {
             state,
             items,
             config,
             iteration,
             mh_steps: self.mh_steps,
-            tables,
+            tables: self.tables.tables(),
         })
     }
 
@@ -309,7 +211,7 @@ impl SamplerKernel for AliasHybridSampler {
     /// every `rebuild_every` iterations.
     fn predict_steady_compute_s(&self, measured_compute_s: f64, measured_setup_s: f64) -> f64 {
         (measured_compute_s - measured_setup_s).max(0.0)
-            + measured_setup_s / self.rebuild_every as f64
+            + measured_setup_s / self.rebuild_every() as f64
     }
 
     /// Host-side burn-in with the same stale-proposal + MH structure as the
@@ -414,14 +316,16 @@ impl SamplerKernel for AliasHybridSampler {
 
 /// The alias-build kernel: one thread block builds the stale proposal of one
 /// word from the synchronized φ (read once per rebuild instead of once per
-/// iteration — the amortisation the hybrid exists for).
+/// iteration — the amortisation the hybrid exists for).  Every chunk's
+/// launch charges the full build of each of its words; the host builds each
+/// word once per rebuild and shares it ([`StaleTables`]).
 struct AliasBuildBlock<'a> {
     state: &'a ChunkState,
     config: &'a LdaConfig,
     /// Words with tokens in this chunk, one per block.
     words: &'a [u32],
-    /// Output slot per block.
-    slots: &'a [Mutex<Option<StaleAliasProposal>>],
+    /// The rebuild's shared tables.
+    tables: &'a StaleTables<StaleAliasProposal>,
 }
 
 impl BlockKernel for AliasBuildBlock<'_> {
@@ -436,39 +340,40 @@ impl BlockKernel for AliasBuildBlock<'_> {
         // α-free normalisation) and run the Vose construction.  The device
         // layout stores the table as prob (f32) + alias (u32) + the stale φ̂
         // column snapshot (compressed int, like φ itself); the stale weight
-        // the MH ratio needs is reconstructed from φ̂ and the per-chunk n̂_k
+        // the MH ratio needs is reconstructed from φ̂ and the device's n̂_k
         // snapshot (K × 8 bytes per rebuild, amortised over every word) at
         // two flops per evaluation.
-        let weights: Vec<f64> = self
-            .state
-            .phi_global
-            .column(v)
-            .iter()
-            .enumerate()
-            .map(|(kk, phi_kv)| {
-                (phi_kv.load(Ordering::Relaxed) as f64 + beta)
-                    / (self.state.nk_global.get(kk) as f64 + v_beta)
-            })
-            .collect();
+        self.tables.get_or_build(v, || {
+            StaleAliasProposal::from_weights(
+                self.state
+                    .phi_global
+                    .column(v)
+                    .iter()
+                    .enumerate()
+                    .map(|(kk, phi_kv)| {
+                        (phi_kv.load(Ordering::Relaxed) as f64 + beta)
+                            / (self.state.nk_global.get(kk) as f64 + v_beta)
+                    })
+                    .collect(),
+            )
+        });
         ctx.read_global(k as u64 * int_bytes); // φ[·, v]
         ctx.read_global(k as u64 * 4); // n_k
         ctx.flops(3 * k as u64);
-        let proposal = StaleAliasProposal::from_weights(weights);
         ctx.int_ops(k as u64); // Vose small/large queue maintenance
         ctx.write_global(k as u64 * (8 + int_bytes)); // prob + alias + φ̂ snapshot
-        *self.slots[block_id].lock() = Some(proposal);
     }
 }
 
 /// The per-launch block kernel of [`AliasHybridSampler`]: one chunk's work
-/// items at one iteration, sampling from the chunk's stale tables.
+/// items at one iteration, sampling from the rebuild's stale tables.
 struct AliasSampleBlock<'a> {
     state: &'a ChunkState,
     items: &'a [WorkItem],
     config: &'a LdaConfig,
     iteration: u64,
     mh_steps: usize,
-    tables: Arc<ChunkTables>,
+    tables: Arc<StaleTables<StaleAliasProposal>>,
 }
 
 impl BlockKernel for AliasSampleBlock<'_> {
@@ -486,9 +391,7 @@ impl BlockKernel for AliasSampleBlock<'_> {
         let v_beta = cfg.beta * vocab as f64;
         let int_bytes: u64 = if cfg.compress_16bit { 2 } else { 4 };
 
-        let stale = self.tables.proposals[v]
-            .as_ref()
-            .expect("alias tables cover every word with tokens in the chunk");
+        let stale = self.tables.get(v);
         // Stale dense mass Q̂ = α · Σ_k ŵ(k); the table and its mass live in
         // device memory from the build, read once per block.
         let q_hat = alpha * stale.mass();
@@ -583,7 +486,7 @@ impl BlockKernel for AliasSampleBlock<'_> {
                 let accept =
                     posterior(k_prop) * mixture(k_cur) / (posterior(k_cur) * mixture(k_prop));
                 // Fresh φ/n_k plus the stale φ̂ snapshot at the two topics
-                // (the stale weight is reconstructed from φ̂ and the chunk's
+                // (the stale weight is reconstructed from φ̂ and the device's
                 // n̂_k snapshot, two extra flops each).
                 ctx.read_l1(2 * (int_bytes + 8 + int_bytes));
                 ctx.flops(20);
@@ -602,7 +505,9 @@ impl BlockKernel for AliasSampleBlock<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::stale::shared_chunks;
     use crate::work::build_work_items;
+    use crate::SamplerStrategy;
     use culda_corpus::{partition::DocRange, ChunkLayout, DatasetProfile};
     use culda_gpusim::DeviceSpec;
 
@@ -672,47 +577,145 @@ mod tests {
         assert!(sampler.prepare_chunk(&dev, &state, &cfg, 8) > 0.0);
     }
 
+    fn devices() -> Vec<Device> {
+        (0..4)
+            .map(|i| Device::new(i, DeviceSpec::v100_volta(), 1 + i as u64))
+            .collect()
+    }
+
+    fn z_next(state: &ChunkState) -> Vec<u16> {
+        state
+            .z_next
+            .iter()
+            .map(|z| z.load(Ordering::Relaxed))
+            .collect()
+    }
+
     #[test]
     fn restored_snapshot_resumes_mid_cadence_without_a_rebuild() {
         let cfg = LdaConfig::with_topics(8);
         let sampler = AliasHybridSampler::new(4, 2);
-        let dev = Device::new(0, DeviceSpec::v100_volta(), 1);
+        let devs = devices();
 
         // No rebuild has happened yet, so there is nothing to persist.
         assert!(sampler.resume_state().is_none());
 
-        let state = make_state(8, 9);
-        assert!(sampler.prepare_chunk(&dev, &state, &cfg, 0) > 0.0);
+        let chunks = shared_chunks(8, 9);
+        for (state, dev) in chunks.iter().zip(&devs) {
+            assert!(sampler.prepare_chunk(dev, state, &cfg, 0) > 0.0);
+        }
         let snapshot = sampler.resume_state().expect("snapshot after rebuild");
 
-        // A fresh sampler with the snapshot restored skips the device build
-        // at a mid-cadence iteration (the uninterrupted run already paid for
-        // it before the checkpoint) ...
+        // A fresh sampler with the snapshot restored skips every chunk's
+        // device build at a mid-cadence iteration (the uninterrupted run
+        // already paid for it before the checkpoint) ...
         let restored = AliasHybridSampler::new(4, 2);
         restored.restore_resume_state(&snapshot);
-        let state_b = make_state(8, 9);
-        assert_eq!(restored.prepare_chunk(&dev, &state_b, &cfg, 2), 0.0);
+        let chunks_b = shared_chunks(8, 9);
+        for (state, dev) in chunks_b.iter().zip(&devs) {
+            assert_eq!(restored.prepare_chunk(dev, state, &cfg, 2), 0.0);
+        }
 
-        // ... and produces bit-identical assignments from the stale tables.
-        let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
-        assert_eq!(sampler.prepare_chunk(&dev, &state, &cfg, 2), 0.0);
-        dev.launch(
-            sampler.name(),
-            LaunchConfig::new(items.len()),
-            &sampler.sampling_kernel(&state, &items, &cfg, 2),
-        );
-        dev.launch(
-            restored.name(),
-            LaunchConfig::new(items.len()),
-            &restored.sampling_kernel(&state_b, &items, &cfg, 2),
-        );
-        for (a, b) in state.z_next.iter().zip(&state_b.z_next) {
-            assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
+        // ... and produces bit-identical assignments from the stale tables
+        // on every chunk.
+        for ((state, state_b), dev) in chunks.iter().zip(&chunks_b).zip(&devs) {
+            let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
+            assert_eq!(sampler.prepare_chunk(dev, state, &cfg, 2), 0.0);
+            dev.launch(
+                sampler.name(),
+                LaunchConfig::new(items.len()),
+                &sampler.sampling_kernel(state, &items, &cfg, 2),
+            );
+            dev.launch(
+                restored.name(),
+                LaunchConfig::new(items.len()),
+                &restored.sampling_kernel(state_b, &items, &cfg, 2),
+            );
+            assert_eq!(z_next(state), z_next(state_b));
         }
 
         // The restored sampler stays on the original cadence grid.
-        assert_eq!(restored.prepare_chunk(&dev, &state_b, &cfg, 3), 0.0);
-        assert!(restored.prepare_chunk(&dev, &state_b, &cfg, 4) > 0.0);
+        for (state, dev) in chunks_b.iter().zip(&devs) {
+            assert_eq!(restored.prepare_chunk(dev, state, &cfg, 3), 0.0);
+        }
+        for (state, dev) in chunks_b.iter().zip(&devs) {
+            assert!(restored.prepare_chunk(dev, state, &cfg, 4) > 0.0);
+        }
+    }
+
+    #[test]
+    fn chunks_share_one_table_per_word_and_each_pays_its_own_build() {
+        let SamplerStrategy::AliasHybrid {
+            rebuild_every,
+            mh_steps,
+        } = SamplerStrategy::alias_hybrid()
+        else {
+            unreachable!()
+        };
+        let k = 32;
+        let cfg = LdaConfig::with_topics(k);
+        let sampler = AliasHybridSampler::new(rebuild_every, mh_steps);
+        let devs = devices();
+        let chunks = shared_chunks(k, 4);
+        let vocab = chunks[0].layout.vocab_size;
+        let owners = |v: usize| {
+            chunks
+                .iter()
+                .filter(|st| st.layout.word_token_count(v) > 0)
+                .count()
+        };
+        let shared = chunk_words(&chunks[0].layout)
+            .into_iter()
+            .map(|w| w as usize)
+            .find(|&v| owners(v) >= 2)
+            .expect("a word held by several chunks");
+
+        // Per word: the φ column and n_k read, 3 flops and one Vose step
+        // per topic, and the table written back.
+        let int_bytes: u64 = if cfg.compress_16bit { 2 } else { 4 };
+        let kk = k as u64;
+        let charges = |state: &ChunkState| {
+            let words = chunk_words(&state.layout).len() as u64;
+            culda_gpusim::CostCounters {
+                dram_read_bytes: words * kk * (int_bytes + 4),
+                dram_write_bytes: words * kk * (8 + int_bytes),
+                flops: words * 3 * kk,
+                int_ops: words * kk,
+                ..Default::default()
+            }
+        };
+
+        let mut first: Option<(
+            Arc<StaleTables<StaleAliasProposal>>,
+            *const StaleAliasProposal,
+        )> = None;
+        for (state, dev) in chunks.iter().zip(&devs) {
+            let Prepare::Build(set) = sampler.tables.prepare(state, 0) else {
+                panic!("iteration 0 builds every chunk");
+            };
+            let stats = AliasHybridSampler::launch_build(dev, state, &cfg, &set)
+                .expect("every chunk holds tokens");
+            assert_eq!(stats.counters, charges(state));
+            let (set0, table0) = first.get_or_insert_with(|| (set.clone(), set.get(shared)));
+            assert!(Arc::ptr_eq(set0, &set));
+            assert!(std::ptr::eq(*table0, set.get(shared)));
+        }
+
+        // One table per distinct word, not one per (chunk, word).
+        let distinct = (0..vocab).filter(|&v| owners(v) > 0).count();
+        let per_chunk: usize = chunks.iter().map(|st| chunk_words(&st.layout).len()).sum();
+        assert_eq!(sampler.tables.tables().built().count(), distinct);
+        assert!(distinct < per_chunk);
+
+        // The trait entry point charges each chunk's build, then reuses the
+        // set until the cadence.
+        let again = AliasHybridSampler::new(rebuild_every, mh_steps);
+        for (state, dev) in chunks.iter().zip(&devs) {
+            let span = again.prepare_chunk(dev, state, &cfg, 0);
+            let words = chunk_words(&state.layout).len();
+            assert_eq!(span, dev.time_for(&charges(state), words).total_s);
+            assert_eq!(again.prepare_chunk(dev, state, &cfg, 1), 0.0);
+        }
     }
 
     #[test]

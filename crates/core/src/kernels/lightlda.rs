@@ -47,14 +47,15 @@
 
 use crate::config::LdaConfig;
 use crate::kernels::sampler::{SamplerKernel, SamplerResumeState, BURN_STREAM_BASE};
+use crate::kernels::stale::{Prepare, StaleCache, StaleTables};
 use crate::model::ChunkState;
+use crate::model::TopicTotals;
 use crate::work::{chunk_words, WorkItem};
 use culda_gpusim::rng::{stable_f32, stable_u64};
-use culda_gpusim::{BlockCtx, BlockKernel, Device, LaunchConfig};
+use culda_gpusim::{BlockCtx, BlockKernel, Device, KernelStats, LaunchConfig};
 use culda_sparse::{AliasTable, DenseMatrix, StaleAliasProposal};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// One word's stale proposal distribution `q_w(k) ∝ φ̂_{k,v} + β`.
@@ -164,38 +165,18 @@ impl WordProposal {
     }
 }
 
-/// The stale per-word proposals of one chunk, tagged with the iteration they
-/// were built at.
-struct ChunkTables {
-    built_at: u64,
-    /// `WordProposal` per word id (`None` for words without tokens in the
-    /// chunk).
-    proposals: Vec<Option<WordProposal>>,
-}
-
-/// The global φ̂ snapshot the stale word proposals were last built from.
-/// Checkpoints carry this (per-chunk proposals are a deterministic function
-/// of it); unlike the alias hybrid no topic totals are needed, because the
-/// `n_k + Vβ` normalizer cancels from the `q_w` acceptance ratio.
-struct TablesSnapshot {
-    built_at: u64,
-    phi_hat: DenseMatrix<u32>,
-    /// True when restored from a checkpoint rather than captured live; only
-    /// a restored snapshot may satisfy a chunk's missing tables without a
-    /// device build (the uninterrupted run paid that build already).
-    restored: bool,
-}
-
 /// LightLDA cycled doc-/word-proposal Metropolis–Hastings sampler
 /// ([`crate::SamplerStrategy::LightLda`]).  See the [module
 /// docs](crate::kernels::lightlda) for the algorithm and determinism
 /// argument.
 pub struct LightLdaSampler {
-    rebuild_every: u64,
     mh_steps: usize,
     prune_below: usize,
-    chunks: Mutex<BTreeMap<usize, Arc<ChunkTables>>>,
-    snapshot: Mutex<Option<Arc<TablesSnapshot>>>,
+    /// The word proposals of the current rebuild, shared by every chunk.
+    /// Word proposals depend only on `φ̂ + β` (the `n_k + Vβ` normalizer
+    /// cancels from the `q_w` acceptance ratio), so the snapshot's topic
+    /// totals go unused.
+    tables: StaleCache<WordProposal>,
 }
 
 impl LightLdaSampler {
@@ -204,20 +185,17 @@ impl LightLdaSampler {
     /// below `prune_below` global tokens to the sparse tail representation
     /// (`0` disables pruning).
     pub fn new(rebuild_every: usize, mh_steps: usize, prune_below: usize) -> Self {
-        assert!(rebuild_every >= 1, "rebuild_every must be at least 1");
         assert!(mh_steps >= 1, "mh_steps must be at least 1");
         LightLdaSampler {
-            rebuild_every: rebuild_every as u64,
             mh_steps,
             prune_below,
-            chunks: Mutex::new(BTreeMap::new()),
-            snapshot: Mutex::new(None),
+            tables: StaleCache::new(rebuild_every),
         }
     }
 
     /// The configured rebuild cadence.
     pub fn rebuild_every(&self) -> usize {
-        self.rebuild_every as usize
+        self.tables.rebuild_every()
     }
 
     /// The configured MH steps per token.
@@ -230,34 +208,52 @@ impl LightLdaSampler {
         self.prune_below
     }
 
-    /// Same cadence rule as the alias hybrid: always build when no tables
-    /// exist yet, otherwise rebuild on multiples of the cadence.
-    fn needs_rebuild(&self, built_at: Option<u64>, iteration: u64) -> bool {
-        match built_at {
-            None => true,
-            Some(at) => iteration > at && iteration.is_multiple_of(self.rebuild_every),
-        }
-    }
-
-    /// Reconstruct one chunk's proposals from a restored snapshot through
+    /// Fill the chunk's words of a restored set from its snapshot through
     /// the same [`WordProposal::build`] the device kernel runs, on the same
     /// `u32` counts — bit-identical to the tables the uninterrupted run
     /// held.
     fn proposals_from_snapshot(
         &self,
-        snap: &TablesSnapshot,
+        set: &StaleTables<WordProposal>,
         state: &ChunkState,
         config: &LdaConfig,
-    ) -> Vec<Option<WordProposal>> {
+    ) {
         let k = config.num_topics;
-        let mut proposals: Vec<Option<WordProposal>> = Vec::with_capacity(state.layout.vocab_size);
-        proposals.resize_with(state.layout.vocab_size, || None);
+        let phi_hat = &set.snapshot().phi_hat;
         for w in chunk_words(&state.layout) {
             let v = w as usize;
-            let counts: Vec<u32> = (0..k).map(|kk| snap.phi_hat.get(kk, v)).collect();
-            proposals[v] = Some(WordProposal::build(&counts, config.beta, self.prune_below));
+            set.get_or_build(v, || {
+                let counts: Vec<u32> = (0..k).map(|kk| phi_hat.get(kk, v)).collect();
+                WordProposal::build(&counts, config.beta, self.prune_below)
+            });
         }
-        proposals
+    }
+
+    /// Launch the word-proposal build kernel over the chunk's words into
+    /// `set` (`None` for a chunk without tokens).
+    fn launch_build(
+        &self,
+        device: &Device,
+        state: &ChunkState,
+        config: &LdaConfig,
+        set: &StaleTables<WordProposal>,
+    ) -> Option<KernelStats> {
+        let words = chunk_words(&state.layout);
+        if words.is_empty() {
+            return None;
+        }
+        let build = LightBuildBlock {
+            state,
+            config,
+            prune_below: self.prune_below,
+            words: &words,
+            tables: set,
+        };
+        Some(device.launch(
+            crate::kernels::names::LIGHT_BUILD,
+            LaunchConfig::new(words.len()),
+            &build,
+        ))
     }
 }
 
@@ -268,7 +264,11 @@ impl SamplerKernel for LightLdaSampler {
 
     /// Rebuild the chunk's stale word proposals on the configured cadence by
     /// launching the word-proposal build kernel on `device`; returns the
-    /// simulated build span (0 on non-rebuild iterations).
+    /// simulated build span (0 on non-rebuild iterations).  After a
+    /// checkpoint resume the restored snapshot stands in for the tables the
+    /// uninterrupted run would still be holding: the chunk's words are
+    /// filled host-side at zero cost (the original build was paid before the
+    /// checkpoint) unless the resume lands on a rebuild iteration anyway.
     fn prepare_chunk(
         &self,
         device: &Device,
@@ -276,110 +276,38 @@ impl SamplerKernel for LightLdaSampler {
         config: &LdaConfig,
         iteration: u64,
     ) -> f64 {
-        let built_at = self.chunks.lock().get(&state.chunk_id).map(|t| t.built_at);
-        if built_at.is_none() {
-            // After a checkpoint resume the restored snapshot stands in for
-            // the tables the uninterrupted run would still be holding:
-            // reconstruct host-side at zero cost (the original build was
-            // paid before the checkpoint) unless the resume lands on a
-            // rebuild iteration anyway.
-            let restored = self
-                .snapshot
-                .lock()
-                .clone()
-                .filter(|s| s.restored && s.phi_hat.cols() == state.layout.vocab_size);
-            if let Some(snap) = restored {
-                if !self.needs_rebuild(Some(snap.built_at), iteration) {
-                    let proposals = self.proposals_from_snapshot(&snap, state, config);
-                    self.chunks.lock().insert(
-                        state.chunk_id,
-                        Arc::new(ChunkTables {
-                            built_at: snap.built_at,
-                            proposals,
-                        }),
-                    );
-                    return 0.0;
-                }
+        match self.tables.prepare(state, iteration) {
+            Prepare::Keep => 0.0,
+            Prepare::Restore(set) => {
+                self.proposals_from_snapshot(&set, state, config);
+                0.0
             }
+            Prepare::Build(set) => self
+                .launch_build(device, state, config, &set)
+                .map_or(0.0, |stats| stats.time.total_s),
         }
-        if !self.needs_rebuild(built_at, iteration) {
-            return 0.0;
-        }
-        let words = chunk_words(&state.layout);
-        let mut proposals: Vec<Option<WordProposal>> = Vec::with_capacity(state.layout.vocab_size);
-        proposals.resize_with(state.layout.vocab_size, || None);
-        let span = if words.is_empty() {
-            0.0
-        } else {
-            let slots: Vec<Mutex<Option<WordProposal>>> =
-                (0..words.len()).map(|_| Mutex::new(None)).collect();
-            let build = LightBuildBlock {
-                state,
-                config,
-                prune_below: self.prune_below,
-                words: &words,
-                slots: &slots,
-            };
-            let stats = device.launch(
-                crate::kernels::names::LIGHT_BUILD,
-                LaunchConfig::new(words.len()),
-                &build,
-            );
-            for (&w, slot) in words.iter().zip(slots) {
-                proposals[w as usize] = slot.into_inner();
-            }
-            stats.time.total_s
-        };
-        self.chunks.lock().insert(
-            state.chunk_id,
-            Arc::new(ChunkTables {
-                built_at: iteration,
-                proposals,
-            }),
-        );
-        // Capture the snapshot behind this rebuild once per rebuild
-        // iteration (every chunk reads the one synchronized φ).
-        {
-            let mut snap = self.snapshot.lock();
-            if snap
-                .as_ref()
-                .is_none_or(|s| s.restored || s.built_at != iteration)
-            {
-                *snap = Some(Arc::new(TablesSnapshot {
-                    built_at: iteration,
-                    phi_hat: state.phi_global.to_dense(),
-                    restored: false,
-                }));
-            }
-        }
-        span
     }
 
     /// The φ̂ snapshot behind the current word proposals (`None` until the
     /// first rebuild ever runs).
     fn resume_state(&self) -> Option<SamplerResumeState> {
-        self.snapshot
-            .lock()
-            .as_ref()
+        self.tables
+            .current()
             .map(|s| SamplerResumeState::LightWordTables {
                 built_at: s.built_at,
-                phi_hat: s.phi_hat.clone(),
+                phi_hat: s.snapshot().phi_hat.clone(),
             })
     }
 
     /// Install a checkpointed snapshot; the next
-    /// [`SamplerKernel::prepare_chunk`] of each chunk reconstructs its
-    /// proposals from it, keeping the resumed run bit-exact and on the
-    /// original rebuild cadence.
+    /// [`SamplerKernel::prepare_chunk`] of each chunk fills its proposals
+    /// from it, keeping the resumed run bit-exact and on the original
+    /// rebuild cadence.
     fn restore_resume_state(&self, state: &SamplerResumeState) {
         // States captured by other portfolio members are ignored (checkpoint
         // validation rejects such mismatches before they get here anyway).
         if let SamplerResumeState::LightWordTables { built_at, phi_hat } = state {
-            *self.snapshot.lock() = Some(Arc::new(TablesSnapshot {
-                built_at: *built_at,
-                phi_hat: phi_hat.clone(),
-                restored: true,
-            }));
+            self.tables.restore(*built_at, phi_hat.clone(), Vec::new());
         }
     }
 
@@ -390,19 +318,13 @@ impl SamplerKernel for LightLdaSampler {
         config: &'a LdaConfig,
         iteration: u64,
     ) -> Box<dyn BlockKernel + 'a> {
-        let tables = self
-            .chunks
-            .lock()
-            .get(&state.chunk_id)
-            .cloned()
-            .expect("prepare_chunk must run before sampling_kernel");
         Box::new(LightSampleBlock {
             state,
             items,
             config,
             iteration,
             mh_steps: self.mh_steps,
-            tables,
+            tables: self.tables.tables(),
         })
     }
 
@@ -410,7 +332,7 @@ impl SamplerKernel for LightLdaSampler {
     /// it only every `rebuild_every` iterations.
     fn predict_steady_compute_s(&self, measured_compute_s: f64, measured_setup_s: f64) -> f64 {
         (measured_compute_s - measured_setup_s).max(0.0)
-            + measured_setup_s / self.rebuild_every as f64
+            + measured_setup_s / self.rebuild_every() as f64
     }
 
     /// Host-side burn-in with the same cycle-proposal structure as the
@@ -505,15 +427,17 @@ impl SamplerKernel for LightLdaSampler {
 
 /// The word-proposal build kernel: one thread block scans one word's
 /// synchronized φ̂ column and builds its [`WordProposal`] (dense Vose table
-/// or the pruned sparse-tail form).
+/// or the pruned sparse-tail form).  Every chunk's launch charges the full
+/// build of each of its words; the host builds each word once per rebuild
+/// and shares it ([`StaleTables`]).
 struct LightBuildBlock<'a> {
     state: &'a ChunkState,
     config: &'a LdaConfig,
     prune_below: usize,
     /// Words with tokens in this chunk, one per block.
     words: &'a [u32],
-    /// Output slot per block.
-    slots: &'a [Mutex<Option<WordProposal>>],
+    /// The rebuild's shared word proposals.
+    tables: &'a StaleTables<WordProposal>,
 }
 
 impl BlockKernel for LightBuildBlock<'_> {
@@ -524,23 +448,24 @@ impl BlockKernel for LightBuildBlock<'_> {
 
         // The column scan is unavoidable (the counts live there); what the
         // pruned form saves is the table construction and its footprint.
-        let counts: Vec<u32> = self
-            .state
-            .phi_global
-            .column(v)
-            .iter()
-            .map(|phi_kv| phi_kv.load(Ordering::Relaxed))
-            .collect();
+        let proposal = self.tables.get_or_build(v, || {
+            let counts: Vec<u32> = self
+                .state
+                .phi_global
+                .column(v)
+                .iter()
+                .map(|phi_kv| phi_kv.load(Ordering::Relaxed))
+                .collect();
+            WordProposal::build(&counts, self.config.beta, self.prune_below)
+        });
         ctx.read_global(k as u64 * int_bytes); // φ̂[·, v]
         ctx.flops(k as u64); // accumulate the column total
-        let proposal = WordProposal::build(&counts, self.config.beta, self.prune_below);
-        let built = match &proposal {
+        let built = match proposal {
             WordProposal::Dense(_) => k as u64,
             WordProposal::Pruned { topics, .. } => topics.len() as u64,
         };
         ctx.int_ops(built); // Vose small/large queue maintenance
         ctx.write_global(built * (8 + int_bytes) + 16); // prob + alias + φ̂ snapshot (+ masses)
-        *self.slots[block_id].lock() = Some(proposal);
     }
 }
 
@@ -552,11 +477,77 @@ struct LightSampleBlock<'a> {
     config: &'a LdaConfig,
     iteration: u64,
     mh_steps: usize,
-    tables: Arc<ChunkTables>,
+    tables: Arc<StaleTables<WordProposal>>,
+}
+
+/// One token's inputs to the MH chain: the draws are keyed by `tseed` and
+/// the chain starts at the token's topic `c`.
+struct TokenChain<'a> {
+    tseed: u64,
+    c: usize,
+    /// The document's length and its tokens' word-major positions.
+    len: usize,
+    doc_pos: &'a [u32],
+    /// The document's sorted θ row.
+    cols: &'a [u16],
+    vals: &'a [u32],
+    /// Cost of one θ row probe (a binary search over `K_d` columns).
+    probe_cost: u64,
+    /// The word's fresh φ column and the fresh topic totals.
+    phi_col: &'a [AtomicU32],
+    nk: &'a TopicTotals,
+    proposal: &'a WordProposal,
+    alpha: f64,
+    beta: f64,
+    v_beta: f64,
+}
+
+impl TokenChain<'_> {
+    /// θ^{¬token}_{d,k}: the θ row probe with the token's own count removed.
+    #[inline]
+    fn theta_adj(&self, kk: usize) -> f64 {
+        let raw = self
+            .cols
+            .binary_search(&(kk as u16))
+            .map(|i| self.vals[i] as f64)
+            .unwrap_or(0.0);
+        if kk == self.c {
+            (raw - 1.0).max(0.0)
+        } else {
+            raw
+        }
+    }
+
+    /// Fresh p*(k) with the token's own count removed.
+    #[inline]
+    fn fresh(&self, kk: usize) -> f64 {
+        let self_count = if kk == self.c { 1.0 } else { 0.0 };
+        ((self.phi_col[kk].load(Ordering::Relaxed) as f64 - self_count).max(0.0) + self.beta)
+            / ((self.nk.get(kk) as f64 - self_count).max(0.0) + self.v_beta)
+    }
+
+    /// The posterior mass `p(k) ∝ (θ^{¬token}_{d,k} + α) · p*(k)`, given
+    /// `theta = θ^{¬token}_{d,k}`.
+    #[inline]
+    fn posterior(&self, theta: f64, kk: usize) -> f64 {
+        (theta + self.alpha) * self.fresh(kk)
+    }
 }
 
 impl BlockKernel for LightSampleBlock<'_> {
     fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
+        self.run_block_with(block_id, ctx, Self::cached_chain);
+    }
+}
+
+impl LightSampleBlock<'_> {
+    /// The kernel body, generic over the per-token MH chain
+    /// ([`LightSampleBlock::cached_chain`]) so the tests can run it against
+    /// the step-by-step reference chain.
+    fn run_block_with<C>(&self, block_id: usize, ctx: &mut BlockCtx, chain: C)
+    where
+        C: Fn(&Self, &TokenChain<'_>, &mut BlockCtx) -> usize,
+    {
         let item = &self.items[block_id];
         if item.is_empty() {
             return;
@@ -564,16 +555,9 @@ impl BlockKernel for LightSampleBlock<'_> {
         let state = self.state;
         let cfg = self.config;
         let v = item.word as usize;
-        let k = cfg.num_topics;
-        let alpha = cfg.alpha;
-        let beta = cfg.beta;
-        let alpha_k = alpha * k as f64;
-        let v_beta = beta * state.layout.vocab_size as f64;
         let int_bytes: u64 = if cfg.compress_16bit { 2 } else { 4 };
 
-        let proposal = self.tables.proposals[v]
-            .as_ref()
-            .expect("word proposals cover every word with tokens in the chunk");
+        let proposal = self.tables.get(v);
         ctx.read_global(16); // proposal masses, once per block
 
         let theta = state.theta.read();
@@ -583,103 +567,136 @@ impl BlockKernel for LightSampleBlock<'_> {
             ctx.read_global(4); // token → document index
             let c = state.z[pos].load(Ordering::Relaxed) as usize;
             ctx.read_global(int_bytes); // current topic assignment
-            let len = state.layout.doc_len(d);
-            let doc_pos = state.layout.doc_positions(d);
             ctx.read_global(8); // doc_ptr[d], doc_ptr[d+1]
 
-            // Fresh p*(k) with the token's own count removed, and the
-            // self-excluded θ row probe (CSR columns are sorted; the binary
-            // search is charged per probe — light never walks the full row,
-            // which is its whole point).
-            let phi_mat = &state.phi_global;
-            let nk = &state.nk_global;
-            let fresh = |kk: usize| {
-                let self_count = if kk == c { 1.0 } else { 0.0 };
-                ((phi_mat.load(kk, v) as f64 - self_count).max(0.0) + beta)
-                    / ((nk.get(kk) as f64 - self_count).max(0.0) + v_beta)
-            };
+            // Fresh p*(k) and the self-excluded θ row probe (CSR columns are
+            // sorted; the binary search is charged per probe — light never
+            // walks the full row, which is its whole point).  Every draw is
+            // keyed by token identity with the same (2·step, i) indexing as
+            // the alias hybrid.
             let (cols, vals) = theta.row(d);
-            let kd = cols.len();
-            let probe_cost = (kd.max(2) as u64).ilog2() as u64 + 1;
-            let theta_adj = |kk: usize| {
-                let raw = cols
-                    .binary_search(&(kk as u16))
-                    .map(|i| vals[i] as f64)
-                    .unwrap_or(0.0);
-                if kk == c {
-                    (raw - 1.0).max(0.0)
-                } else {
-                    raw
-                }
-            };
-            let posterior = |kk: usize| (theta_adj(kk) + alpha) * fresh(kk);
-
-            // Per-token MH chain, every draw keyed by token identity with
-            // the same (2·step, i) indexing as the alias hybrid.
             let global_doc = (state.layout.range.start + d) as u64;
             let slot = state.token_slot[pos] as u64;
-            let tseed = stable_u64(cfg.seed, self.iteration, (global_doc << 32) | slot);
+            let token = TokenChain {
+                tseed: stable_u64(cfg.seed, self.iteration, (global_doc << 32) | slot),
+                c,
+                len: state.layout.doc_len(d),
+                doc_pos: state.layout.doc_positions(d),
+                cols,
+                vals,
+                probe_cost: (cols.len().max(2) as u64).ilog2() as u64 + 1,
+                phi_col: state.phi_global.column(v),
+                nk: &state.nk_global,
+                proposal,
+                alpha: cfg.alpha,
+                beta: cfg.beta,
+                v_beta: cfg.beta * state.layout.vocab_size as f64,
+            };
+            let k_new = chain(self, &token, ctx);
 
-            let mut k_cur = c;
-            for step in 0..self.mh_steps {
-                let sstep = step as u64;
-                let (k_prop, q_ratio) = if step % 2 == 0 {
-                    // Doc proposal: another token's iteration-start topic
-                    // (mass L_d) or a uniform topic (mass Kα).
-                    let pick = ctx.stable_f32(tseed, 2 * sstep, 0) as f64 * (len as f64 + alpha_k);
-                    let u1 = ctx.stable_f32(tseed, 2 * sstep, 1);
-                    ctx.flops(4);
-                    let kp = if pick < len as f64 {
-                        let j = ((u1 as f64 * len as f64) as usize).min(len - 1);
-                        ctx.read_global(4 + int_bytes); // doc map entry + that token's z
-                        state.z[doc_pos[j] as usize].load(Ordering::Relaxed) as usize
-                    } else {
-                        ((u1 as f64 * k as f64) as usize).min(k - 1)
-                    };
-                    // q(k)/q(k') with the fresh self-excluded θ (two probes).
-                    ctx.int_ops(2 * probe_cost);
-                    ctx.read_l1(2 * probe_cost * (int_bytes + 4));
-                    let q_new = theta_adj(kp) + alpha;
-                    let q_old = theta_adj(k_cur) + alpha;
-                    (kp, q_old / q_new)
-                } else {
-                    // Word proposal from the stale table: O(1).
-                    let u1 = ctx.stable_f32(tseed, 2 * sstep, 1);
-                    let u2 = ctx.stable_f32(tseed, 2 * sstep, 2);
-                    ctx.read_l1(8); // prob + alias of one bucket
-                    let kp = proposal.draw(u1, u2);
-                    ctx.read_l1(8); // φ̂ snapshot at the two topics
-                    ctx.flops(4);
-                    let q_new = proposal.weight(kp, beta);
-                    let q_old = proposal.weight(k_cur, beta);
-                    (kp, q_old / q_new)
-                };
-                if k_prop == k_cur {
-                    continue;
-                }
-                // MH acceptance with the exact fresh posterior masses:
-                // accept = p(k')q(k) / (p(k)q(k')).
-                let accept = posterior(k_prop) / posterior(k_cur) * q_ratio;
-                ctx.read_l1(2 * (int_bytes + 8)); // fresh φ/n_k at two topics
-                ctx.int_ops(2 * probe_cost); // θ row probes
-                ctx.flops(16);
-                if (ctx.stable_f32(tseed, 2 * sstep + 1, 3) as f64) < accept {
-                    k_cur = k_prop;
-                }
-            }
-
-            state.z_next[pos].store(k_cur as u16, Ordering::Relaxed);
+            state.z_next[pos].store(k_new as u16, Ordering::Relaxed);
             ctx.write_global(int_bytes); // compressed topic assignment
         }
+    }
+
+    /// Draw step `step`'s proposal: even steps propose from the document
+    /// (another token's iteration-start topic, mass L_d, or a uniform topic,
+    /// mass Kα), odd steps from the stale word table.  Charges the draw and
+    /// the evaluation of its proposal ratio.
+    #[inline]
+    fn propose(&self, t: &TokenChain<'_>, step: usize, ctx: &mut BlockCtx) -> usize {
+        let k = self.config.num_topics;
+        let int_bytes: u64 = if self.config.compress_16bit { 2 } else { 4 };
+        let sstep = step as u64;
+        if step.is_multiple_of(2) {
+            let alpha_k = self.config.alpha * k as f64;
+            let pick = ctx.stable_f32(t.tseed, 2 * sstep, 0) as f64 * (t.len as f64 + alpha_k);
+            let u1 = ctx.stable_f32(t.tseed, 2 * sstep, 1);
+            ctx.flops(4);
+            let kp = if pick < t.len as f64 {
+                let j = ((u1 as f64 * t.len as f64) as usize).min(t.len - 1);
+                ctx.read_global(4 + int_bytes); // doc map entry + that token's z
+                self.state.z[t.doc_pos[j] as usize].load(Ordering::Relaxed) as usize
+            } else {
+                ((u1 as f64 * k as f64) as usize).min(k - 1)
+            };
+            // q(k)/q(k') with the fresh self-excluded θ (two probes).
+            ctx.int_ops(2 * t.probe_cost);
+            ctx.read_l1(2 * t.probe_cost * (int_bytes + 4));
+            kp
+        } else {
+            // Word proposal from the stale table: O(1).
+            let u1 = ctx.stable_f32(t.tseed, 2 * sstep, 1);
+            let u2 = ctx.stable_f32(t.tseed, 2 * sstep, 2);
+            ctx.read_l1(8); // prob + alias of one bucket
+            let kp = t.proposal.draw(u1, u2);
+            ctx.read_l1(8); // φ̂ snapshot at the two topics
+            ctx.flops(4);
+            kp
+        }
+    }
+
+    /// Charge the MH acceptance test of step `step` and draw its uniform.
+    #[inline]
+    fn accept_draw(&self, t: &TokenChain<'_>, step: usize, ctx: &mut BlockCtx) -> f64 {
+        let int_bytes: u64 = if self.config.compress_16bit { 2 } else { 4 };
+        ctx.read_l1(2 * (int_bytes + 8)); // fresh φ/n_k at two topics
+        ctx.int_ops(2 * t.probe_cost); // θ row probes
+        ctx.flops(16);
+        ctx.stable_f32(t.tseed, 2 * step as u64 + 1, 3) as f64
+    }
+
+    /// The per-token MH chain.  The θ probe, the posterior and the stale
+    /// weight of the current topic are kept across steps: each is computed
+    /// the first time a step needs it and refreshed on accept from the
+    /// values already computed for the proposal, so a rejected or no-move
+    /// step evaluates nothing at the current topic twice.  The f64
+    /// expressions are the reference chain's, in the same order.
+    fn cached_chain(&self, t: &TokenChain<'_>, ctx: &mut BlockCtx) -> usize {
+        let (alpha, beta) = (t.alpha, t.beta);
+        let mut k_cur = t.c;
+        let mut theta_cur: Option<f64> = None;
+        let mut post_cur: Option<f64> = None;
+        let mut weight_cur: Option<f64> = None;
+        for step in 0..self.mh_steps {
+            let k_prop = self.propose(t, step, ctx);
+            if k_prop == k_cur {
+                continue;
+            }
+            let theta_prop = t.theta_adj(k_prop);
+            let theta_k = *theta_cur.get_or_insert_with(|| t.theta_adj(k_cur));
+            let (q_ratio, weight_prop) = if step.is_multiple_of(2) {
+                ((theta_k + alpha) / (theta_prop + alpha), None)
+            } else {
+                let w = t.proposal.weight(k_prop, beta);
+                let w_cur = *weight_cur.get_or_insert_with(|| t.proposal.weight(k_cur, beta));
+                (w_cur / w, Some(w))
+            };
+            // MH acceptance with the exact fresh posterior masses:
+            // accept = p(k')q(k) / (p(k)q(k')).
+            let post_prop = t.posterior(theta_prop, k_prop);
+            let post_k = *post_cur.get_or_insert_with(|| t.posterior(theta_k, k_cur));
+            let accept = post_prop / post_k * q_ratio;
+            if self.accept_draw(t, step, ctx) < accept {
+                k_cur = k_prop;
+                theta_cur = Some(theta_prop);
+                post_cur = Some(post_prop);
+                weight_cur = weight_prop;
+            }
+        }
+        k_cur
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::stale::shared_chunks;
     use crate::work::build_work_items;
+    use crate::SamplerStrategy;
     use culda_corpus::{partition::DocRange, ChunkLayout, DatasetProfile};
     use culda_gpusim::DeviceSpec;
+    use std::sync::atomic::AtomicU64;
 
     fn make_state(num_topics: usize, seed: u64) -> ChunkState {
         let corpus = DatasetProfile {
@@ -782,49 +799,279 @@ mod tests {
             span_pruned < span_dense,
             "pruned {span_pruned} vs dense {span_dense}"
         );
-        let chunks = pruned.chunks.lock();
-        let tables = chunks.get(&0).unwrap();
-        assert!(tables.proposals.iter().flatten().any(|p| p.is_pruned()));
-        let chunks = dense.chunks.lock();
-        let tables = chunks.get(&0).unwrap();
-        assert!(tables.proposals.iter().flatten().all(|p| !p.is_pruned()));
+        assert!(pruned.tables.tables().built().any(|p| p.is_pruned()));
+        assert!(dense.tables.tables().built().all(|p| !p.is_pruned()));
+    }
+
+    fn devices() -> Vec<Device> {
+        (0..4)
+            .map(|i| Device::new(i, DeviceSpec::v100_volta(), 1 + i as u64))
+            .collect()
+    }
+
+    fn z_next(state: &ChunkState) -> Vec<u16> {
+        state
+            .z_next
+            .iter()
+            .map(|z| z.load(Ordering::Relaxed))
+            .collect()
     }
 
     #[test]
     fn restored_snapshot_resumes_mid_cadence_without_a_rebuild() {
         let cfg = LdaConfig::with_topics(8);
         let sampler = LightLdaSampler::new(4, 4, 8);
-        let dev = Device::new(0, DeviceSpec::v100_volta(), 1);
+        let devs = devices();
 
         assert!(sampler.resume_state().is_none());
 
-        let state = make_state(8, 9);
-        assert!(sampler.prepare_chunk(&dev, &state, &cfg, 0) > 0.0);
+        let chunks = shared_chunks(8, 9);
+        for (state, dev) in chunks.iter().zip(&devs) {
+            assert!(sampler.prepare_chunk(dev, state, &cfg, 0) > 0.0);
+        }
         let snapshot = sampler.resume_state().expect("snapshot after rebuild");
 
+        // Every chunk of the resumed run fills its words from the one
+        // restored set at no cost ...
         let restored = LightLdaSampler::new(4, 4, 8);
         restored.restore_resume_state(&snapshot);
-        let state_b = make_state(8, 9);
-        assert_eq!(restored.prepare_chunk(&dev, &state_b, &cfg, 2), 0.0);
-
-        let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
-        assert_eq!(sampler.prepare_chunk(&dev, &state, &cfg, 2), 0.0);
-        dev.launch(
-            sampler.name(),
-            LaunchConfig::new(items.len()),
-            &sampler.sampling_kernel(&state, &items, &cfg, 2),
-        );
-        dev.launch(
-            restored.name(),
-            LaunchConfig::new(items.len()),
-            &restored.sampling_kernel(&state_b, &items, &cfg, 2),
-        );
-        for (a, b) in state.z_next.iter().zip(&state_b.z_next) {
-            assert_eq!(a.load(Ordering::Relaxed), b.load(Ordering::Relaxed));
+        let chunks_b = shared_chunks(8, 9);
+        for (state, dev) in chunks_b.iter().zip(&devs) {
+            assert_eq!(restored.prepare_chunk(dev, state, &cfg, 2), 0.0);
         }
 
-        assert_eq!(restored.prepare_chunk(&dev, &state_b, &cfg, 3), 0.0);
-        assert!(restored.prepare_chunk(&dev, &state_b, &cfg, 4) > 0.0);
+        // ... and samples every chunk bit-identically from it.
+        for ((state, state_b), dev) in chunks.iter().zip(&chunks_b).zip(&devs) {
+            let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
+            assert_eq!(sampler.prepare_chunk(dev, state, &cfg, 2), 0.0);
+            dev.launch(
+                sampler.name(),
+                LaunchConfig::new(items.len()),
+                &sampler.sampling_kernel(state, &items, &cfg, 2),
+            );
+            dev.launch(
+                restored.name(),
+                LaunchConfig::new(items.len()),
+                &restored.sampling_kernel(state_b, &items, &cfg, 2),
+            );
+            assert_eq!(z_next(state), z_next(state_b));
+        }
+
+        for (state, dev) in chunks_b.iter().zip(&devs) {
+            assert_eq!(restored.prepare_chunk(dev, state, &cfg, 3), 0.0);
+        }
+        for (state, dev) in chunks_b.iter().zip(&devs) {
+            assert!(restored.prepare_chunk(dev, state, &cfg, 4) > 0.0);
+        }
+    }
+
+    /// Expected counters of one chunk's word-proposal build: the per-word
+    /// charges of [`LightBuildBlock`], summed over the chunk's words.
+    fn light_build_charges(
+        state: &ChunkState,
+        cfg: &LdaConfig,
+        set: &StaleTables<WordProposal>,
+    ) -> culda_gpusim::CostCounters {
+        let k = cfg.num_topics as u64;
+        let int_bytes: u64 = if cfg.compress_16bit { 2 } else { 4 };
+        let mut c = culda_gpusim::CostCounters::zero();
+        for w in chunk_words(&state.layout) {
+            let built = match set.get(w as usize) {
+                WordProposal::Dense(_) => k,
+                WordProposal::Pruned { topics, .. } => topics.len() as u64,
+            };
+            c.dram_read_bytes += k * int_bytes;
+            c.flops += k;
+            c.int_ops += built;
+            c.dram_write_bytes += built * (8 + int_bytes) + 16;
+        }
+        c
+    }
+
+    #[test]
+    fn chunks_share_one_proposal_per_word_and_each_pays_its_own_build() {
+        let SamplerStrategy::LightLda {
+            rebuild_every,
+            mh_steps,
+            prune_below,
+        } = SamplerStrategy::light_lda_pruned()
+        else {
+            unreachable!()
+        };
+        let k = 32;
+        let cfg = LdaConfig::with_topics(k);
+        let sampler = LightLdaSampler::new(rebuild_every, mh_steps, prune_below);
+        let devs = devices();
+        let chunks = shared_chunks(k, 4);
+        let vocab = chunks[0].layout.vocab_size;
+        let owners = |v: usize| {
+            chunks
+                .iter()
+                .filter(|st| st.layout.word_token_count(v) > 0)
+                .count()
+        };
+        // A word of the first chunk that other chunks hold too.
+        let shared = chunk_words(&chunks[0].layout)
+            .into_iter()
+            .map(|w| w as usize)
+            .find(|&v| owners(v) >= 2)
+            .expect("a word held by several chunks");
+
+        let mut first: Option<(Arc<StaleTables<WordProposal>>, *const WordProposal)> = None;
+        for (state, dev) in chunks.iter().zip(&devs) {
+            let Prepare::Build(set) = sampler.tables.prepare(state, 0) else {
+                panic!("iteration 0 builds every chunk");
+            };
+            let stats = sampler
+                .launch_build(dev, state, &cfg, &set)
+                .expect("every chunk holds tokens");
+            // The charge does not depend on which chunk built a table.
+            assert_eq!(stats.counters, light_build_charges(state, &cfg, &set));
+            let (set0, table0) = first.get_or_insert_with(|| (set.clone(), set.get(shared)));
+            assert!(Arc::ptr_eq(set0, &set));
+            assert!(std::ptr::eq(*table0, set.get(shared)));
+        }
+
+        // One table per distinct word, not one per (chunk, word).
+        let set = sampler.tables.tables();
+        let distinct = (0..vocab).filter(|&v| owners(v) > 0).count();
+        let per_chunk: usize = chunks.iter().map(|st| chunk_words(&st.layout).len()).sum();
+        assert_eq!(set.built().count(), distinct);
+        assert!(distinct < per_chunk);
+        assert!(set.built().any(|p| p.is_pruned()) && set.built().any(|p| !p.is_pruned()));
+
+        // The trait entry point charges each chunk's build, then reuses the
+        // set until the cadence.
+        let again = LightLdaSampler::new(rebuild_every, mh_steps, prune_below);
+        for (state, dev) in chunks.iter().zip(&devs) {
+            let span = again.prepare_chunk(dev, state, &cfg, 0);
+            let charges = light_build_charges(state, &cfg, &again.tables.tables());
+            let words = chunk_words(&state.layout).len();
+            assert_eq!(span, dev.time_for(&charges, words).total_s);
+            assert_eq!(again.prepare_chunk(dev, state, &cfg, 1), 0.0);
+        }
+    }
+
+    /// The MH chain as it ran before the per-token cache: every step
+    /// evaluates θ, the posterior and the stale weight at both topics afresh.
+    /// Counts the steps it takes as `[accepted, rejected, no-move]`.
+    fn stepwise_chain(
+        block: &LightSampleBlock<'_>,
+        t: &TokenChain<'_>,
+        ctx: &mut BlockCtx,
+        seen: &[AtomicU64; 3],
+    ) -> usize {
+        let cfg = block.config;
+        let k = cfg.num_topics;
+        let alpha = cfg.alpha;
+        let beta = cfg.beta;
+        let alpha_k = alpha * k as f64;
+        let int_bytes: u64 = if cfg.compress_16bit { 2 } else { 4 };
+        let (len, tseed, probe_cost) = (t.len, t.tseed, t.probe_cost);
+        let posterior = |kk: usize| (t.theta_adj(kk) + alpha) * t.fresh(kk);
+        let mut k_cur = t.c;
+        for step in 0..block.mh_steps {
+            let sstep = step as u64;
+            let (k_prop, q_ratio) = if step % 2 == 0 {
+                let pick = ctx.stable_f32(tseed, 2 * sstep, 0) as f64 * (len as f64 + alpha_k);
+                let u1 = ctx.stable_f32(tseed, 2 * sstep, 1);
+                ctx.flops(4);
+                let kp = if pick < len as f64 {
+                    let j = ((u1 as f64 * len as f64) as usize).min(len - 1);
+                    ctx.read_global(4 + int_bytes);
+                    block.state.z[t.doc_pos[j] as usize].load(Ordering::Relaxed) as usize
+                } else {
+                    ((u1 as f64 * k as f64) as usize).min(k - 1)
+                };
+                ctx.int_ops(2 * probe_cost);
+                ctx.read_l1(2 * probe_cost * (int_bytes + 4));
+                let q_new = t.theta_adj(kp) + alpha;
+                let q_old = t.theta_adj(k_cur) + alpha;
+                (kp, q_old / q_new)
+            } else {
+                let u1 = ctx.stable_f32(tseed, 2 * sstep, 1);
+                let u2 = ctx.stable_f32(tseed, 2 * sstep, 2);
+                ctx.read_l1(8);
+                let kp = t.proposal.draw(u1, u2);
+                ctx.read_l1(8);
+                ctx.flops(4);
+                let q_new = t.proposal.weight(kp, beta);
+                let q_old = t.proposal.weight(k_cur, beta);
+                (kp, q_old / q_new)
+            };
+            if k_prop == k_cur {
+                seen[2].fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            let accept = posterior(k_prop) / posterior(k_cur) * q_ratio;
+            ctx.read_l1(2 * (int_bytes + 8));
+            ctx.int_ops(2 * probe_cost);
+            ctx.flops(16);
+            if (ctx.stable_f32(tseed, 2 * sstep + 1, 3) as f64) < accept {
+                seen[0].fetch_add(1, Ordering::Relaxed);
+                k_cur = k_prop;
+            } else {
+                seen[1].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        k_cur
+    }
+
+    /// [`LightSampleBlock`] running [`stepwise_chain`].
+    struct StepwiseBlock<'a> {
+        block: LightSampleBlock<'a>,
+        seen: [AtomicU64; 3],
+    }
+
+    impl BlockKernel for StepwiseBlock<'_> {
+        fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
+            self.block.run_block_with(block_id, ctx, |b, t, ctx| {
+                stepwise_chain(b, t, ctx, &self.seen)
+            });
+        }
+    }
+
+    #[test]
+    fn cached_chain_matches_the_stepwise_oracle_bit_for_bit() {
+        for (k, seed) in [(8, 31), (64, 32), (512, 33)] {
+            let state = make_state(k, seed);
+            let cfg = LdaConfig::with_topics(k);
+            let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
+            for prune_below in [0, usize::MAX] {
+                for mh_steps in [1, 2, 3, 5] {
+                    let sampler = LightLdaSampler::new(4, mh_steps, prune_below);
+                    let dev = Device::new(0, DeviceSpec::v100_volta(), 7);
+                    assert!(sampler.prepare_chunk(&dev, &state, &cfg, 0) > 0.0);
+                    let tables = sampler.tables.tables();
+                    assert!(tables.built().all(|p| p.is_pruned() == (prune_below > 0)));
+                    let block = || LightSampleBlock {
+                        state: &state,
+                        items: &items,
+                        config: &cfg,
+                        iteration: 1,
+                        mh_steps,
+                        tables: tables.clone(),
+                    };
+                    let grid = LaunchConfig::new(items.len());
+                    let cached = dev.launch("cached", grid, &block());
+                    let z_cached = z_next(&state);
+                    let oracle = StepwiseBlock {
+                        block: block(),
+                        seen: Default::default(),
+                    };
+                    let reference = dev.launch("stepwise", grid, &oracle);
+                    let at = format!("K = {k}, prune_below = {prune_below}, mh_steps = {mh_steps}");
+                    assert_eq!(z_cached, z_next(&state), "{at}");
+                    assert_eq!(cached.counters, reference.counters, "{at}");
+                    // The corpus exercises every branch of the chain.
+                    let [accepted, rejected, no_move] = oracle.seen.map(AtomicU64::into_inner);
+                    assert!(
+                        accepted > 0 && rejected > 0 && no_move > 0,
+                        "{at}: accepted {accepted}, rejected {rejected}, no-move {no_move}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

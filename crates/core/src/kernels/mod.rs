@@ -20,6 +20,7 @@ pub mod lightlda;
 pub mod portfolio;
 pub mod sampler;
 pub mod sampling;
+mod stale;
 pub mod update_phi;
 pub mod update_theta;
 

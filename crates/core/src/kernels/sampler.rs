@@ -59,9 +59,9 @@ pub const BURN_STREAM_BASE: u64 = u64::MAX - 2;
 #[derive(Debug, Clone, PartialEq)]
 pub enum SamplerResumeState {
     /// The global snapshot the alias hybrid's stale tables were last built
-    /// from.  Per-chunk proposal tables are deterministically reconstructed
-    /// from it (the same `(φ̂ + β) / (n̂ + Vβ)` arithmetic as the build
-    /// kernel), so they do not need to be serialized themselves.
+    /// from.  The per-word proposal tables are deterministically
+    /// reconstructed from it (the same `(φ̂ + β) / (n̂ + Vβ)` arithmetic as
+    /// the build kernel), so they do not need to be serialized themselves.
     AliasTables {
         /// Iteration the tables were built at; resume keeps the rebuild
         /// cadence anchored to the original grid.
@@ -74,7 +74,7 @@ pub enum SamplerResumeState {
     /// The global snapshot the LightLDA sampler's stale word proposals were
     /// last built from.  Word proposals depend only on `φ̂ + β` (the
     /// normalizer cancels in the MH acceptance ratio), so no topic totals
-    /// are carried; per-chunk tables are reconstructed deterministically on
+    /// are carried; the word tables are reconstructed deterministically on
     /// resume exactly as the alias hybrid's are.
     LightWordTables {
         /// Iteration the word proposals were built at; resume keeps the

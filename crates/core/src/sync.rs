@@ -26,6 +26,15 @@
 //! single one, so a trainer pays one store pass however many GPUs it
 //! simulates.
 //!
+//! The host pass also reads only what can be non-zero.  A chunk's
+//! `phi_local` is written only by the initialization paths and by update-φ,
+//! and both write only through the chunk's own tokens, so its column for a
+//! word it holds no token of is zero.  The pass therefore sums each word's
+//! column over the chunks that own the word (`word_token_count(v) > 0`) and
+//! stores zeros where no chunk does.  On a tail-heavy vocabulary most words
+//! live in one chunk, so the pass reads about one local column per word
+//! instead of one per chunk.
+//!
 //! The reduce itself runs on real OS threads, which is safe precisely
 //! because everything summed here is an integer count: addition commutes, so
 //! no thread interleaving can change a column sum.  Floating-point reduces
@@ -39,6 +48,7 @@ use culda_gpusim::MultiGpuSystem;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// How one φ synchronization is laid out: how many vocabulary shards, and how
@@ -421,6 +431,12 @@ pub(crate) fn hier_shard_times(
 /// result is bit-identical for every plan: each global cell is an integer
 /// sum of the chunk contributions, and neither the shard grouping nor the
 /// tier structure changes any of the sums.
+///
+/// The functional pass sums each word's column over its *owners* only: the
+/// chunks with `layout.word_token_count(v) > 0`.  This relies on one
+/// invariant: a chunk's `phi_local` is written only by the initialization
+/// paths and by update-φ, and both write only through the chunk's own
+/// tokens, so the column of a word the chunk does not hold is zero.
 pub fn synchronize_phi_hier_sharded(
     states: &[Arc<ChunkState>],
     system: &MultiGpuSystem,
@@ -454,17 +470,37 @@ pub fn synchronize_phi_hier_over_ranges(
     let v = states[0].phi_local.cols();
     debug_assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), v);
 
-    // --- Functional part: sum the locals word by word (φ is stored
-    // word-major) straight into every distinct global (one for a trainer,
-    // whose chunks share it).  Shards only structure the costed schedule,
-    // so the pass ignores them. ---
+    // --- Functional part: sum each word's column over the chunks that own
+    // it (φ is stored word-major), write it into the first distinct global
+    // and copy it into the rest (one for a trainer, whose chunks share it).
+    // A column no chunk owns is stored as zeros.  Shards only structure the
+    // costed schedule, so the pass ignores them. ---
     let phi_globals = distinct(states.iter().map(|st| &st.phi_global));
     let nk_globals = distinct(states.iter().map(|st| &st.nk_global));
+    let (phi_out, phi_copies) = phi_globals.split_first().expect("at least one chunk");
     (0..v).into_par_iter().for_each(|col| {
-        for row in 0..k {
-            let sum: u32 = states.iter().map(|st| st.phi_local.load(row, col)).sum();
-            for global in &phi_globals {
-                global.store(row, col, sum);
+        let out = phi_out.column(col);
+        let mut owned = states
+            .iter()
+            .filter(|st| st.layout.word_token_count(col) > 0)
+            .map(|st| st.phi_local.column(col));
+        match owned.next() {
+            None => out.iter().for_each(|cell| cell.store(0, Ordering::Relaxed)),
+            Some(first) => {
+                for (cell, local) in out.iter().zip(first) {
+                    cell.store(local.load(Ordering::Relaxed), Ordering::Relaxed);
+                }
+                for local in owned {
+                    for (cell, add) in out.iter().zip(local) {
+                        let sum = cell.load(Ordering::Relaxed) + add.load(Ordering::Relaxed);
+                        cell.store(sum, Ordering::Relaxed);
+                    }
+                }
+            }
+        }
+        for copy in phi_copies {
+            for (dst, src) in copy.column(col).iter().zip(out) {
+                dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
             }
         }
     });
@@ -669,6 +705,76 @@ mod tests {
             assert_eq!(p.phi_global.to_dense(), s.phi_global.to_dense());
             assert_eq!(p.nk_global.to_vec(), s.nk_global.to_vec());
         }
+
+        // A tail-heavy corpus: most words live in one or two of the four
+        // chunks, and the last word in none.  The owner-only pass must still
+        // leave every global equal to a recount of z, including a zero
+        // column for the missing word whose global column was dirtied.
+        let tail = tail_corpus();
+        let missing = tail.vocab_size() - 1;
+        for shared in [false, true] {
+            let states = build_states(&tail, 4, 6, shared);
+            let owners = |v: usize| {
+                states
+                    .iter()
+                    .filter(|st| st.layout.word_token_count(v) > 0)
+                    .count()
+            };
+            assert_eq!(owners(missing), 0);
+            assert!((0..missing).any(|v| owners(v) == 1));
+            assert!((0..missing).any(|v| (2..4).contains(&owners(v))));
+            for st in &states {
+                for row in 0..6 {
+                    st.phi_global.store(row, missing, 7);
+                }
+            }
+            synchronize_phi_hier_sharded(&states, &cluster, &plan, true);
+            let (phi, nk) = recount(&states, 6);
+            for st in &states {
+                assert_eq!(st.phi_global.to_dense(), phi);
+                assert_eq!(st.nk_global.to_vec(), nk);
+                assert!((0..6).all(|row| st.phi_global.load(row, missing) == 0));
+            }
+        }
+    }
+
+    /// Short documents over a skewed vocabulary whose last word never
+    /// occurs.
+    fn tail_corpus() -> Corpus {
+        let vocab = 48u32;
+        let mut builder = culda_corpus::CorpusBuilder::new(vocab as usize);
+        let mut x = 12345u32;
+        let mut next = move || {
+            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+            x >> 8
+        };
+        for _ in 0..60 {
+            let len = 2 + next() % 4;
+            // The smaller of two uniform draws skews toward the head.
+            let words: Vec<u32> = (0..len)
+                .map(|_| (next() % (vocab - 1)).min(next() % (vocab - 1)))
+                .collect();
+            builder.push_doc(&words);
+        }
+        builder.build()
+    }
+
+    /// φ and n_k counted from scratch from every chunk's z.
+    fn recount(states: &[Arc<ChunkState>], k: usize) -> (culda_sparse::DenseMatrix<u32>, Vec<i64>) {
+        let v = states[0].layout.vocab_size;
+        let mut phi = culda_sparse::DenseMatrix::zeros(k, v);
+        let mut nk = vec![0i64; k];
+        for st in states {
+            for w in 0..v {
+                let (start, end) = st.layout.word_token_range(w);
+                for z in &st.z[start..end] {
+                    let topic = z.load(Ordering::Relaxed) as usize;
+                    *phi.get_mut(topic, w) += 1;
+                    nk[topic] += 1;
+                }
+            }
+        }
+        (phi, nk)
     }
 
     #[test]
