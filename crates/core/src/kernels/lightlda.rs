@@ -718,8 +718,6 @@ mod tests {
         let state = ChunkState::new(0, layout, num_topics);
         let cfg = LdaConfig::with_topics(num_topics);
         state.random_init_stable(&cfg, cfg.seed);
-        state.phi_global.copy_from(&state.phi_local);
-        state.nk_global.store_all(&state.nk_local.to_vec());
         state
     }
 

@@ -364,6 +364,7 @@ fn p1_prefix_sums(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::UpdatePhiKernel;
     use crate::model::ChunkState;
     use crate::work::build_work_items;
     use culda_corpus::{partition::DocRange, ChunkLayout, CorpusBuilder, DatasetProfile};
@@ -387,15 +388,7 @@ mod tests {
             },
         );
         let state = ChunkState::new(0, layout, num_topics);
-        let cfg = LdaConfig::with_topics(num_topics);
-        let mut x = seed as u32 | 1;
-        state.random_init(&cfg, move || {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            (x >> 16) as u16
-        });
-        // Make phi_global/nk_global consistent (single chunk: global = local).
-        state.phi_global.copy_from(&state.phi_local);
-        state.nk_global.store_all(&state.nk_local.to_vec());
+        state.random_init_stable(&LdaConfig::with_topics(num_topics), seed);
         state
     }
 
@@ -559,13 +552,7 @@ mod tests {
         let layout = ChunkLayout::build(&corpus, DocRange { start: 0, end: 40 });
         let state = ChunkState::new(0, layout, 4);
         let cfg = LdaConfig::with_topics(4);
-        let mut x = 9u32;
-        state.random_init(&cfg, move || {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            (x >> 16) as u16
-        });
-        state.phi_global.copy_from(&state.phi_local);
-        state.nk_global.store_all(&state.nk_local.to_vec());
+        state.random_init_stable(&cfg, 9);
 
         let initial_nnz = state.theta.read().nnz();
         let dev = Device::new(0, DeviceSpec::titan_x_maxwell(), 77);
@@ -578,21 +565,23 @@ mod tests {
                 iteration: 0,
             };
             dev.launch("Sampling", LaunchConfig::new(items.len()), &kernel);
-            // Promote z_next → z and rebuild counts (what the update kernels do).
-            for (z, zn) in state.z.iter().zip(&state.z_next) {
-                z.store(zn.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            state.rebuild_phi_local();
+            // Fold z_next into φ / n_k and z, then rebuild θ.
+            let update = UpdatePhiKernel {
+                state: &state,
+                items: &items,
+                compress_16bit: cfg.compress_16bit,
+            };
+            dev.launch("Update phi", LaunchConfig::new(items.len()), &update);
             state.rebuild_theta();
-            state.phi_global.copy_from(&state.phi_local);
-            state.nk_global.store_all(&state.nk_local.to_vec());
         }
         let final_nnz = state.theta.read().nnz();
         assert!(
             final_nnz < initial_nnz,
             "θ should sparsify: {initial_nnz} → {final_nnz}"
         );
-        state.validate_counts().unwrap();
+        state.validate_theta().unwrap();
+        let tokens: i64 = state.nk_global.to_vec().iter().sum();
+        assert_eq!(tokens, state.num_tokens() as i64);
     }
 
     #[test]

@@ -172,13 +172,11 @@ impl<P> StaleCache<P> {
 }
 
 /// Four chunks of one corpus sharing one synchronized φ / n_k, as in a
-/// trainer, with that φ synchronized from a stable random initialization.
+/// trainer, filled by a stable random initialization.
 #[cfg(test)]
 pub(crate) fn shared_chunks(num_topics: usize, seed: u64) -> Vec<Arc<ChunkState>> {
     use crate::config::LdaConfig;
-    use crate::sync::{synchronize_phi_hier_sharded, HierarchicalSyncPlan};
     use culda_corpus::{DatasetProfile, Partitioner};
-    use culda_gpusim::{DeviceSpec, Interconnect, MultiGpuSystem};
 
     let corpus = DatasetProfile {
         name: "stale".into(),
@@ -195,7 +193,7 @@ pub(crate) fn shared_chunks(num_topics: usize, seed: u64) -> Vec<Arc<ChunkState>
         corpus.vocab_size(),
     ));
     let nk = Arc::new(crate::model::TopicTotals::zeros(num_topics));
-    let states: Vec<Arc<ChunkState>> = Partitioner::by_tokens(&corpus, 4)
+    Partitioner::by_tokens(&corpus, 4)
         .build_layouts(&corpus)
         .into_iter()
         .enumerate()
@@ -204,8 +202,5 @@ pub(crate) fn shared_chunks(num_topics: usize, seed: u64) -> Vec<Arc<ChunkState>
             st.random_init_stable(&cfg, cfg.seed);
             Arc::new(st)
         })
-        .collect();
-    let system = MultiGpuSystem::homogeneous(DeviceSpec::v100_volta(), 4, 1, Interconnect::Pcie3);
-    synchronize_phi_hier_sharded(&states, &system, &HierarchicalSyncPlan::dense(), true);
-    states
+        .collect()
 }

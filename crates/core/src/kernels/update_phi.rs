@@ -5,9 +5,14 @@
 //! giving the atomics the locality the paper relies on ("atomic functions
 //! that have good data locality shows good performance").
 //!
-//! The kernel folds the `z → z_next` differences of this iteration into the
-//! chunk's `phi_local` replica and topic totals, then promotes `z_next` to be
-//! the current assignment.  φ is updated *before* θ so the φ synchronization
+//! The kernel folds the `z → z_next` differences of this iteration straight
+//! into the chunk's synchronized φ and topic totals, then promotes `z_next`
+//! to be the current assignment.  A trainer's chunks share one φ, so every
+//! chunk's launch adds into it; integer adds commute, so the result equals
+//! the paper's sum of per-GPU contributions whatever order the launches and
+//! their atomics run in.  Sampling reads that φ, so the scheduler runs every
+//! update-φ launch only after every sampling launch of the iteration (see
+//! [`crate::schedule`]).  φ is updated *before* θ so the φ synchronization
 //! can start as early as possible and overlap with the θ update (§6.2).
 
 use crate::model::ChunkState;
@@ -39,10 +44,10 @@ impl BlockKernel for UpdatePhiKernel<'_> {
             // Reading both assignments (old and proposed).
             ctx.read_global(2 * int_bytes);
             if old != new {
-                state.phi_local.fetch_sub(old as usize, v, 1);
-                state.phi_local.fetch_add(new as usize, v, 1);
-                state.nk_local.add(old as usize, -1);
-                state.nk_local.add(new as usize, 1);
+                state.phi_global.fetch_sub(old as usize, v, 1);
+                state.phi_global.fetch_add(new as usize, v, 1);
+                state.nk_global.add(old as usize, -1);
+                state.nk_global.add(new as usize, 1);
                 // Two φ atomics + two n_k atomics.
                 ctx.atomics(4);
             }
@@ -57,10 +62,11 @@ impl BlockKernel for UpdatePhiKernel<'_> {
 mod tests {
     use super::*;
     use crate::config::LdaConfig;
-    use crate::model::ChunkState;
+    use crate::model::{check_recount, ChunkState};
     use crate::work::build_work_items;
     use culda_corpus::{partition::DocRange, ChunkLayout, DatasetProfile};
     use culda_gpusim::{Device, DeviceSpec, LaunchConfig};
+    use std::sync::Arc;
 
     fn init_state(k: usize) -> ChunkState {
         let corpus = DatasetProfile {
@@ -80,18 +86,13 @@ mod tests {
             },
         );
         let state = ChunkState::new(0, layout, k);
-        let cfg = LdaConfig::with_topics(k);
-        let mut x = 3u32;
-        state.random_init(&cfg, move || {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            (x >> 16) as u16
-        });
+        state.random_init_stable(&LdaConfig::with_topics(k), 3);
         state
     }
 
     #[test]
     fn delta_update_matches_full_rebuild() {
-        let state = init_state(6);
+        let state = Arc::new(init_state(6));
         // Propose new assignments: rotate every token's topic by one.
         for (pos, zn) in state.z_next.iter().enumerate() {
             let old = state.z[pos].load(Ordering::Relaxed);
@@ -106,12 +107,8 @@ mod tests {
         };
         dev.launch("Update phi", LaunchConfig::new(items.len()), &kernel);
 
-        // The delta-updated phi_local must equal a from-scratch recount.
-        let incremental = state.phi_local.to_dense();
-        let nk_incremental = state.nk_local.to_vec();
-        state.rebuild_phi_local();
-        assert_eq!(incremental, state.phi_local.to_dense());
-        assert_eq!(nk_incremental, state.nk_local.to_vec());
+        // The delta-updated φ / n_k must equal a from-scratch recount.
+        check_recount(std::slice::from_ref(&state)).unwrap();
         // And z must now hold the promoted assignments.
         for (z, zn) in state.z.iter().zip(&state.z_next) {
             assert_eq!(z.load(Ordering::Relaxed), zn.load(Ordering::Relaxed));
@@ -121,7 +118,7 @@ mod tests {
     #[test]
     fn unchanged_assignments_cost_no_atomics() {
         let state = init_state(4);
-        // z_next equals z after random_init.
+        // z_next equals z after the initialization.
         let items = build_work_items(&state.layout, 2048);
         let dev = Device::new(0, DeviceSpec::v100_volta(), 4);
         let kernel = UpdatePhiKernel {
@@ -132,7 +129,7 @@ mod tests {
         let stats = dev.launch("Update phi", LaunchConfig::new(items.len()), &kernel);
         assert_eq!(stats.counters.atomic_ops, 0);
         assert!(stats.counters.dram_read_bytes > 0);
-        state.validate_counts().unwrap();
+        state.validate_theta().unwrap();
     }
 
     #[test]

@@ -147,12 +147,7 @@ mod tests {
             },
         );
         let state = ChunkState::new(0, layout, k);
-        let cfg = LdaConfig::with_topics(k);
-        let mut x = seed as u32 | 1;
-        state.random_init(&cfg, move || {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            (x >> 16) as u16
-        });
+        state.random_init_stable(&LdaConfig::with_topics(k), seed);
         state
     }
 

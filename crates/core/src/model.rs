@@ -1,13 +1,17 @@
-//! Model state: per-chunk θ and φ contributions plus the synchronized φ
+//! Model state: per-chunk θ plus the synchronized φ every chunk shares
 //! (Figure 3(a)).
 //!
 //! With partition-by-document, every chunk owns the θ rows of its documents
-//! exclusively and accumulates the φ counts of its own tokens (`phi_local`).
-//! The synchronized global matrix (`phi_global = Σ_c phi_local[c]`) is what
-//! the samplers read.  On the paper's hardware every GPU holds its own copy
-//! of it; the host keeps exactly one, shared by every chunk of a trainer
-//! through an [`Arc`].  The per-GPU replicas exist only in the cost model
-//! ([`ChunkState::device_bytes`] and the tree schedules of [`crate::sync`]).
+//! exclusively.  φ and the topic totals `n_k` count every token of the
+//! corpus: the samplers read them, and the initialization paths and the
+//! update-φ kernel add each chunk's tokens into them with atomics.  On the
+//! paper's hardware every GPU holds a φ contribution of its own plus a
+//! replica of the synchronized φ, combined by the reduce + broadcast of
+//! §5.2; the host keeps exactly one φ / n_k pair, shared by every chunk of a
+//! trainer through an [`Arc`].  Integer adds commute, so the shared pair
+//! equals the sum of per-chunk contributions bit for bit.  The per-GPU
+//! copies exist only in the cost model ([`ChunkState::device_bytes`] and
+//! the tree schedules of [`crate::sync`]).
 
 use crate::config::LdaConfig;
 use culda_corpus::ChunkLayout;
@@ -60,13 +64,6 @@ impl TopicTotals {
         }
     }
 
-    /// Reset to zero.
-    pub fn clear(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Snapshot.
     pub fn to_vec(&self) -> Vec<i64> {
         self.counts
@@ -74,15 +71,10 @@ impl TopicTotals {
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
     }
-
-    /// Sum of all totals (equals the number of tokens covered).
-    pub fn total(&self) -> i64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
 }
 
 /// All device-resident state for one corpus chunk (Figure 3: the chunk, its θ
-/// replica, its φ contribution, and the synchronized φ it samples from).
+/// replica, and the synchronized φ it samples from and updates).
 #[derive(Debug)]
 pub struct ChunkState {
     /// Chunk index within the run.
@@ -93,20 +85,14 @@ pub struct ChunkState {
     /// (16-bit compressed, §6.1.3).
     pub z: Vec<AtomicU16>,
     /// Topic assignments proposed by the current iteration's sampling kernel;
-    /// the update-φ kernel folds the `z → z_next` deltas into `phi_local` and
-    /// then promotes `z_next` to `z`.
+    /// the update-φ kernel folds the `z → z_next` deltas into `phi_global`
+    /// and then promotes `z_next` to `z`.
     pub z_next: Vec<AtomicU16>,
     /// θ rows of this chunk's documents (CSR with 16-bit topic columns).
     /// Rebuilt by the update-θ kernel after every iteration.
     pub theta: RwLock<CsrMatrix>,
-    /// This chunk's contribution to φ (`K × V`), rebuilt each iteration by
-    /// the update-φ kernel.
-    pub phi_local: AtomicMatrix,
-    /// This chunk's contribution to the topic totals `n_k`.
-    pub nk_local: TopicTotals,
-    /// The synchronized global φ the sampling kernel reads
-    /// (`Σ` of every chunk's `phi_local` after the reduce+broadcast of §5.2).
-    /// Shared by every chunk of a trainer.
+    /// The synchronized global φ (`K × V`) the sampling kernel reads and
+    /// the update-φ kernel writes.  Shared by every chunk of a trainer.
     pub phi_global: Arc<AtomicMatrix>,
     /// The synchronized global topic totals, shared like `phi_global`.
     pub nk_global: Arc<TopicTotals>,
@@ -118,17 +104,20 @@ pub struct ChunkState {
 
 impl ChunkState {
     /// Allocate the state for a chunk, with all counts zero and all topic
-    /// assignments set to topic 0 (callers run [`ChunkState::random_init`]).
-    /// The chunk gets a synchronized φ / n_k pair of its own; a trainer
-    /// instead shares one pair between all of its chunks.
+    /// assignments set to topic 0 (callers run one of the initialization
+    /// paths).  The chunk gets a φ / n_k pair of its own, which then holds
+    /// only this chunk's counts until a [`crate::sync`] call stores the
+    /// corpus-wide recount into it; a trainer instead shares one pair
+    /// between all of its chunks.
     pub fn new(chunk_id: usize, layout: ChunkLayout, num_topics: usize) -> Self {
         let phi_global = Arc::new(AtomicMatrix::zeros(num_topics, layout.vocab_size));
         let nk_global = Arc::new(TopicTotals::zeros(num_topics));
         Self::with_globals(chunk_id, layout, phi_global, nk_global)
     }
 
-    /// Allocate the state for a chunk that reads the given synchronized
-    /// `phi_global` (`K × V`) and `nk_global` (`K`); `K` is taken from them.
+    /// Allocate the state for a chunk that reads and updates the given
+    /// synchronized `phi_global` (`K × V`) and `nk_global` (`K`); `K` is
+    /// taken from them.
     pub(crate) fn with_globals(
         chunk_id: usize,
         layout: ChunkLayout,
@@ -151,8 +140,6 @@ impl ChunkState {
             z,
             z_next,
             theta: RwLock::new(CsrMatrix::zeros(docs, num_topics)),
-            phi_local: AtomicMatrix::zeros(num_topics, vocab),
-            nk_local: TopicTotals::zeros(num_topics),
             phi_global,
             nk_global,
         }
@@ -160,7 +147,7 @@ impl ChunkState {
 
     /// Number of topics `K`.
     pub fn num_topics(&self) -> usize {
-        self.phi_local.rows()
+        self.nk_global.len()
     }
 
     /// Number of tokens in the chunk.
@@ -169,40 +156,20 @@ impl ChunkState {
     }
 
     /// Randomly assign a topic to every token ("Initially, each token is
-    /// randomly assigned with a topic", §2.1), then build the initial θ
-    /// replica and local φ counts from those assignments.
-    pub fn random_init(&self, config: &LdaConfig, mut rand_topic: impl FnMut() -> u16) {
-        let k = self.num_topics();
-        debug_assert_eq!(k, config.num_topics);
-        // Assign topics and accumulate φ_local / n_k.
-        self.phi_local.clear();
-        self.nk_local.clear();
-        for v in 0..self.layout.vocab_size {
-            let (start, end) = self.layout.word_token_range(v);
-            for pos in start..end {
-                let topic = rand_topic() % k as u16;
-                self.z[pos].store(topic, Ordering::Relaxed);
-                self.z_next[pos].store(topic, Ordering::Relaxed);
-                self.phi_local.fetch_add(topic as usize, v, 1);
-                self.nk_local.add(topic as usize, 1);
-            }
-        }
-        self.rebuild_theta();
-    }
-
-    /// Randomly assign topics with the counter-based generator keyed by each
-    /// token's partition-independent identity `(global document, slot)`.
+    /// randomly assigned with a topic", §2.1) with the counter-based
+    /// generator keyed by each token's partition-independent identity
+    /// `(global document, slot)`, add the chunk's tokens into φ / n_k and
+    /// build the initial θ replica.
     ///
-    /// Unlike [`ChunkState::random_init`] (whose stream depends on the order
-    /// the closure is polled in, i.e. on the chunk layout), this produces the
-    /// *same* initial assignment for every token no matter how the corpus is
-    /// partitioned — the foundation of the cross-topology determinism
-    /// guarantee.
+    /// Every token gets the *same* initial assignment no matter how the
+    /// corpus is partitioned — the foundation of the cross-topology
+    /// determinism guarantee.  Like [`ChunkState::init_from_assignments`],
+    /// this runs once per chunk on a freshly allocated state: it adds into
+    /// φ / n_k rather than overwriting them, so chunks sharing one pair
+    /// together fill it with the corpus-wide counts.
     pub fn random_init_stable(&self, config: &LdaConfig, seed: u64) {
         let k = self.num_topics() as u64;
         debug_assert_eq!(k as usize, config.num_topics);
-        self.phi_local.clear();
-        self.nk_local.clear();
         for d in 0..self.layout.num_docs() {
             let global_doc = (self.layout.range.start + d) as u64;
             for (t, &pos) in self.layout.doc_positions(d).iter().enumerate() {
@@ -216,8 +183,8 @@ impl ChunkState {
                 self.z[pos].store(topic, Ordering::Relaxed);
                 self.z_next[pos].store(topic, Ordering::Relaxed);
                 let v = self.layout.word_of_position(pos as u32) as usize;
-                self.phi_local.fetch_add(topic as usize, v, 1);
-                self.nk_local.add(topic as usize, 1);
+                self.phi_global.fetch_add(topic as usize, v, 1);
+                self.nk_global.add(topic as usize, 1);
             }
         }
         self.rebuild_theta();
@@ -233,10 +200,9 @@ impl ChunkState {
     /// exactly where the saved run stopped.
     ///
     /// Callers must have validated that the snapshot covers this chunk's
-    /// documents with the right lengths and in-range topics.
+    /// documents with the right lengths and in-range topics.  Adds into
+    /// φ / n_k like [`ChunkState::random_init_stable`].
     pub fn init_from_assignments(&self, z: &[Vec<u16>]) {
-        self.phi_local.clear();
-        self.nk_local.clear();
         for d in 0..self.layout.num_docs() {
             let row = &z[self.layout.range.start + d];
             for (t, &pos) in self.layout.doc_positions(d).iter().enumerate() {
@@ -245,8 +211,8 @@ impl ChunkState {
                 self.z[pos].store(topic, Ordering::Relaxed);
                 self.z_next[pos].store(topic, Ordering::Relaxed);
                 let v = self.layout.word_of_position(pos as u32) as usize;
-                self.phi_local.fetch_add(topic as usize, v, 1);
-                self.nk_local.add(topic as usize, 1);
+                self.phi_global.fetch_add(topic as usize, v, 1);
+                self.nk_global.add(topic as usize, 1);
             }
         }
         self.rebuild_theta();
@@ -272,41 +238,28 @@ impl ChunkState {
         *self.theta.write() = builder.finish();
     }
 
-    /// Recount this chunk's φ contribution from the current assignments (the
-    /// functional core of the update-φ kernel).
-    pub fn rebuild_phi_local(&self) {
-        self.phi_local.clear();
-        self.nk_local.clear();
-        for v in 0..self.layout.vocab_size {
-            let (start, end) = self.layout.word_token_range(v);
-            for pos in start..end {
-                let topic = self.z[pos].load(Ordering::Relaxed) as usize;
-                self.phi_local.fetch_add(topic, v, 1);
-                self.nk_local.add(topic, 1);
-            }
-        }
-    }
-
-    /// Estimated device-memory footprint in bytes (chunk layout + z + θ +
-    /// `phi_local` + the GPU's own replica of the synchronized φ, with 16-bit
-    /// compression when enabled).  The replica is charged per chunk even
-    /// though the host shares one synchronized φ between chunks.
+    /// Estimated device-memory footprint in bytes: chunk layout + z + θ +
+    /// two `K × V` φ matrices + two `K`-entry 8-byte topic-total vectors
+    /// (16-bit φ elements when compressed).  The two φ matrices are what the
+    /// paper's GPU holds: its own contribution and its replica of the
+    /// synchronized φ.  Both are charged per chunk even though the host keeps
+    /// one φ for all chunks.
     pub fn device_bytes(&self, compress_16bit: bool) -> u64 {
         let phi = if compress_16bit {
-            self.phi_local.device_bytes_compressed() + self.phi_global.device_bytes_compressed()
+            self.phi_global.device_bytes_compressed()
         } else {
-            self.phi_local.device_bytes_uncompressed() + self.phi_global.device_bytes_uncompressed()
+            self.phi_global.device_bytes_uncompressed()
         };
         self.layout.device_bytes()
             + self.theta.read().device_bytes()
-            + phi
+            + 2 * phi
             + (self.num_topics() * 8) as u64 * 2
     }
 
-    /// Consistency check: θ row sums must equal document lengths, φ_local
-    /// totals must equal the chunk token count, and every count must be
-    /// reproducible from `z`.  Used by tests and debug assertions.
-    pub fn validate_counts(&self) -> Result<(), String> {
+    /// Consistency check of θ: every row must sum to its document's length.
+    /// φ / n_k span chunks, so their check (a recount of `z`) lives in
+    /// `CuLdaTrainer::validate`.
+    pub fn validate_theta(&self) -> Result<(), String> {
         let theta = self.theta.read();
         for d in 0..self.layout.num_docs() {
             let expect = self.layout.doc_len(d) as u64;
@@ -317,22 +270,52 @@ impl ChunkState {
                 ));
             }
         }
-        let total: i64 = self.nk_local.total();
-        if total != self.num_tokens() as i64 {
-            return Err(format!(
-                "n_k totals {total} do not match chunk token count {}",
-                self.num_tokens()
-            ));
-        }
-        let phi_total = self.phi_local.total();
-        if phi_total != self.num_tokens() as u64 {
-            return Err(format!(
-                "φ_local total {phi_total} does not match chunk token count {}",
-                self.num_tokens()
-            ));
-        }
         Ok(())
     }
+}
+
+/// Recount word `v`'s φ column from the assignments: `column[k]` becomes the
+/// number of tokens of `v` in `states` whose `z` is topic `k`.  The one
+/// definition of "φ equals a recount of z", shared by the synchronization of
+/// private φ / n_k pairs and by [`check_recount`].
+pub(crate) fn recount_column<'a>(
+    states: impl IntoIterator<Item = &'a ChunkState>,
+    v: usize,
+    column: &mut [u32],
+) {
+    column.fill(0);
+    for st in states {
+        let (start, end) = st.layout.word_token_range(v);
+        for z in &st.z[start..end] {
+            column[z.load(Ordering::Relaxed) as usize] += 1;
+        }
+    }
+}
+
+/// Check that the φ / n_k pair `states` share equals a recount of their `z`,
+/// cell for cell.
+pub(crate) fn check_recount(states: &[Arc<ChunkState>]) -> Result<(), String> {
+    let k = states[0].num_topics();
+    let phi = &states[0].phi_global;
+    let mut column = vec![0u32; k];
+    let mut nk = vec![0i64; k];
+    for v in 0..phi.cols() {
+        recount_column(states.iter().map(Arc::as_ref), v, &mut column);
+        for (topic, &count) in column.iter().enumerate() {
+            let got = phi.load(topic, v);
+            if got != count {
+                return Err(format!(
+                    "φ[{topic}][{v}] is {got}, a recount of z gives {count}"
+                ));
+            }
+            nk[topic] += count as i64;
+        }
+    }
+    let got = states[0].nk_global.to_vec();
+    if got != nk {
+        return Err(format!("n_k is {got:?}, a recount of z gives {nk:?}"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -352,16 +335,13 @@ mod tests {
 
     #[test]
     fn random_init_produces_consistent_counts() {
-        let state = small_state(4);
+        let state = Arc::new(small_state(4));
         let config = LdaConfig::with_topics(4);
-        let mut x = 7u32;
-        state.random_init(&config, move || {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            (x >> 16) as u16
-        });
-        state.validate_counts().unwrap();
+        state.random_init_stable(&config, 7);
+        state.validate_theta().unwrap();
         assert_eq!(state.num_tokens(), 10);
-        assert_eq!(state.nk_local.total(), 10);
+        assert_eq!(state.nk_global.to_vec().iter().sum::<i64>(), 10);
+        check_recount(std::slice::from_ref(&state)).unwrap();
         let theta = state.theta.read();
         assert_eq!(theta.total(), 10);
         assert_eq!(theta.rows(), 3);
@@ -369,22 +349,41 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_phi_matches_assignments() {
+    fn init_from_assignments_adds_into_phi() {
+        let state = Arc::new(small_state(3));
+        // Every token of a document gets the document's index as its topic.
+        let z = vec![vec![0u16; 5], vec![1u16; 3], vec![2u16; 2]];
+        state.init_from_assignments(&z);
+        state.validate_theta().unwrap();
+        assert_eq!(state.nk_global.to_vec(), vec![5, 3, 2]);
+        check_recount(std::slice::from_ref(&state)).unwrap();
+        // Word 1 occurs twice, both in document 0; word 5 in documents 0
+        // and 2.
+        assert_eq!(state.phi_global.load(0, 1), 2);
+        assert_eq!(state.phi_global.load(0, 5), 1);
+        assert_eq!(state.phi_global.load(2, 5), 1);
+        assert_eq!(state.theta.read().get(1, 1), 3);
+    }
+
+    #[test]
+    fn recount_column_counts_each_words_topics() {
         let state = small_state(3);
         // Assign every token topic 2.
         for z in &state.z {
             z.store(2, Ordering::Relaxed);
         }
-        state.rebuild_phi_local();
         state.rebuild_theta();
-        assert_eq!(state.nk_local.get(2), 10);
-        assert_eq!(state.nk_local.get(0), 0);
         let theta = state.theta.read();
         assert_eq!(theta.get(0, 2), 5);
         assert_eq!(theta.row_nnz(0), 1);
-        state.validate_counts().unwrap();
-        // word 1 has 2 tokens, both topic 2.
-        assert_eq!(state.phi_local.load(2, 1), 2);
+        state.validate_theta().unwrap();
+        let mut column = vec![9u32; 3];
+        // Word 1 has 2 tokens, both topic 2.
+        recount_column([&state], 1, &mut column);
+        assert_eq!(column, vec![0, 0, 2]);
+        // Two chunks holding the same tokens count them twice.
+        recount_column([&state, &state], 5, &mut column);
+        assert_eq!(column, vec![0, 0, 4]);
     }
 
     #[test]
@@ -395,11 +394,8 @@ mod tests {
         t.add(0, -2);
         assert_eq!(t.get(0), 3);
         assert_eq!(t.to_vec(), vec![3, 0, 1]);
-        assert_eq!(t.total(), 4);
-        t.store_all(&[1, 1, 1]);
-        assert_eq!(t.total(), 3);
-        t.clear();
-        assert_eq!(t.total(), 0);
+        t.store_all(&[1, 1, 2]);
+        assert_eq!(t.to_vec(), vec![1, 1, 2]);
         assert_eq!(t.len(), 3);
     }
 
@@ -409,5 +405,19 @@ mod tests {
         let compressed = state.device_bytes(true);
         let uncompressed = state.device_bytes(false);
         assert!(uncompressed > compressed);
+    }
+
+    #[test]
+    fn device_bytes_charge_a_contribution_and_a_replica_of_phi() {
+        let state = small_state(8);
+        state.random_init_stable(&LdaConfig::with_topics(8), 3);
+        let (k, v) = (8u64, 6u64);
+        for (compress, elem) in [(true, 2u64), (false, 4u64)] {
+            let expect = state.layout.device_bytes()
+                + state.theta.read().device_bytes()
+                + 2 * k * v * elem
+                + 16 * k;
+            assert_eq!(state.device_bytes(compress), expect);
+        }
     }
 }

@@ -16,6 +16,13 @@
 //! the θ update is overlapped with (§6.2: "the update of model θ can be
 //! overlapped with the synchronization of model ϕ").
 //!
+//! On the host, all chunks share one φ, and update-φ writes it directly, so
+//! an iteration runs in two phases with a barrier between them: first every
+//! device runs sampler setup and sampling for its chunks (reading φ), then
+//! every device runs update-φ and update-θ.  The simulated clock charges the
+//! same launches either way; the barrier only keeps every chunk sampling
+//! from the φ of the previous iteration, as each GPU's own replica would.
+//!
 //! When the synchronization is vocabulary-sharded ([`crate::sync::SyncPlan`], `S > 1` with
 //! a non-zero overlap depth), the iteration additionally overlaps the
 //! *reduces themselves* with sampling: the word-major sampling pass emits the
@@ -136,20 +143,23 @@ pub fn run_iteration(
     let g = system.num_gpus();
 
     // Chunk i is processed by GPU i % G, chunks with smaller ids first (§5.1).
-    // Devices run on separate OS threads, exactly like the real system;
-    // per-device results are safe to compute concurrently because a device
-    // only reads the chunks assigned to it and all cross-chunk state (φ̂, n̂k)
-    // was synchronized before this point.
-    let per_device: Vec<DeviceTimes> = (0..g)
+    // Devices run on separate OS threads, exactly like the real system, in
+    // two phases.  Phase 1 runs every chunk's sampler setup and sampling
+    // launch, which only read φ / n_k.  Phase 2 runs update-φ, which adds
+    // the chunk's deltas into the φ / n_k every chunk shares, then update-θ.
+    // The end of phase 1's parallel pass is the barrier between them: no
+    // chunk samples from a φ that another chunk (or an earlier chunk of the
+    // same device) has already updated this iteration.  Within a phase,
+    // devices are safe to run concurrently because a device only touches
+    // the chunks assigned to it and φ / n_k change only through atomic adds.
+    let device_chunks = |dev_idx: usize| states.iter().enumerate().skip(dev_idx).step_by(g);
+    let sampled: Vec<(DeviceTimes, Vec<f64>)> = (0..g)
         .into_par_iter()
         .map(|dev_idx| {
             let device = system.device(dev_idx);
             let mut times = DeviceTimes::default();
-            let mut stages: Vec<Stage> = Vec::new();
-            for (chunk_idx, state) in states.iter().enumerate() {
-                if chunk_idx % g != dev_idx {
-                    continue;
-                }
+            let mut computes = Vec::new();
+            for (chunk_idx, state) in device_chunks(dev_idx) {
                 let items = &work_items[chunk_idx];
                 let mut chunk_compute = 0.0f64;
 
@@ -168,6 +178,21 @@ pub fn run_iteration(
                     times.sampling_s += stats.time.total_s;
                     chunk_compute += stats.time.total_s;
                 }
+                computes.push(chunk_compute);
+            }
+            (times, computes)
+        })
+        .collect();
+
+    let per_device: Vec<DeviceTimes> = (0..g)
+        .into_par_iter()
+        .map(|dev_idx| {
+            let device = system.device(dev_idx);
+            let (mut times, computes) = (sampled[dev_idx].0, &sampled[dev_idx].1);
+            let mut stages: Vec<Stage> = Vec::new();
+            for ((chunk_idx, state), &sampled_compute) in device_chunks(dev_idx).zip(computes) {
+                let items = &work_items[chunk_idx];
+                let mut chunk_compute = sampled_compute;
 
                 // Update φ (word-major atomics; promotes z_next → z).
                 if !items.is_empty() {
@@ -222,9 +247,10 @@ pub fn run_iteration(
         })
         .collect();
 
-    // Synchronize φ across all chunks (functional + simulated per-shard tree
-    // cost).  When the plan overlaps, resolve the word histogram once and
-    // reuse it for both the shard boundaries and the compute weights.
+    // Synchronize φ across all chunks (the simulated per-shard tree cost; a
+    // no-op on the host when the chunks share one φ).  When the plan
+    // overlaps, resolve the word histogram once and reuse it for both the
+    // shard boundaries and the compute weights.
     let (sync, weights) = if plan.overlaps() {
         let word_tokens = global_word_tokens(states);
         let ranges = plan.base().token_balanced_ranges(&word_tokens);
@@ -330,17 +356,16 @@ mod tests {
         .generate(17);
         let cfg = LdaConfig::with_topics(k).seed(2);
         let partitioner = Partitioner::by_tokens(&corpus, chunks);
+        // Every chunk shares one φ / n_k pair, exactly as in a trainer.
+        let phi = Arc::new(culda_sparse::AtomicMatrix::zeros(k, corpus.vocab_size()));
+        let nk = Arc::new(crate::model::TopicTotals::zeros(k));
         let states: Vec<Arc<ChunkState>> = partitioner
             .build_layouts(&corpus)
             .into_iter()
             .enumerate()
             .map(|(i, layout)| {
-                let st = ChunkState::new(i, layout, k);
-                let mut x = 77u32 + i as u32;
-                st.random_init(&cfg, move || {
-                    x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-                    (x >> 16) as u16
-                });
+                let st = ChunkState::with_globals(i, layout, phi.clone(), nk.clone());
+                st.random_init_stable(&cfg, cfg.seed);
                 Arc::new(st)
             })
             .collect();
@@ -354,13 +379,18 @@ mod tests {
             9,
             Interconnect::Pcie3,
         );
-        // Fill every chunk's synchronized φ before the first iteration,
-        // exactly as the trainer does at construction time.
-        synchronize_phi_hier_sharded(&states, &system, &DENSE, cfg.compress_16bit);
         (states, items, system, cfg)
     }
 
     const DENSE: HierarchicalSyncPlan = HierarchicalSyncPlan::dense();
+
+    /// Every chunk's θ rows and the shared φ / n_k agree with z.
+    fn assert_counts(states: &[Arc<ChunkState>]) {
+        for st in states {
+            st.validate_theta().unwrap();
+        }
+        crate::model::check_recount(states).unwrap();
+    }
 
     #[test]
     fn resident_iteration_preserves_count_invariants() {
@@ -379,11 +409,11 @@ mod tests {
         assert_eq!(stats.tokens_processed as usize, total_tokens);
         assert!(stats.sim_time_s > 0.0);
         assert_eq!(stats.transfer_time_s, 0.0);
-        for st in &states {
-            st.validate_counts().unwrap();
-        }
-        // Global φ covers the whole corpus after the sync.
-        assert_eq!(states[0].phi_global.total() as usize, total_tokens);
+        assert_counts(&states);
+        assert_eq!(
+            states[0].phi_global.to_dense().total() as usize,
+            total_tokens
+        );
     }
 
     #[test]
@@ -401,9 +431,7 @@ mod tests {
         );
         assert!(stats.transfer_time_s > 0.0);
         assert!(stats.sim_time_s >= stats.sync_time_s);
-        for st in &states {
-            st.validate_counts().unwrap();
-        }
+        assert_counts(&states);
     }
 
     #[test]
@@ -473,9 +501,7 @@ mod tests {
         // `tests/sharded_sync.rs` asserts the win at a realistic scale.
         assert!(sharded.sync_exposed_time_s <= sharded.sync_time_s + 1e-12);
         assert!(sharded.sync_time_s >= dense.sync_time_s);
-        for st in &states {
-            st.validate_counts().unwrap();
-        }
+        assert_counts(&states);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! φ model synchronization (§5.2, Figure 4), dense or vocabulary-sharded.
 //!
-//! After every iteration the per-chunk φ contributions must be combined into
-//! the global matrix every sampler reads:
+//! On the paper's hardware every GPU accumulates its chunks' φ contribution,
+//! and after every iteration the contributions must be combined into the
+//! global matrix every sampler reads:
 //!
 //! ```text
 //! φ = φ0 + φ1 + … + φC−1,      n_k = Σ_c n_k[c]
@@ -16,34 +17,26 @@
 //! which is what lets the scheduler overlap shard `s`'s reduce with the
 //! sampling of shard `s + 1` (see [`crate::schedule`] and `DESIGN.md` §8).
 //!
-//! The simulator computes the sums functionally (integer column sums are
-//! identical however the columns are grouped, so sharding can never change
-//! the synchronized state) and charges the time of the per-shard tree
-//! schedules over the system's interconnect, which is what determines
-//! multi-GPU scalability (Figure 9).  The two halves see different numbers
-//! of φ copies: the cost model charges one replica per GPU, while the host
-//! writes each *distinct* synchronized φ once — a trainer's chunks share a
-//! single one, so a trainer pays one store pass however many GPUs it
-//! simulates.
+//! The simulator charges the time of the per-shard tree schedules over the
+//! system's interconnect, which is what determines multi-GPU scalability
+//! (Figure 9); the cost model charges one replica per GPU.  The host holds
+//! no per-GPU contributions to combine: a trainer's chunks share one φ / n_k
+//! pair, and update-φ adds every chunk's deltas straight into it (integer
+//! adds commute, so the pair equals the sum above bit for bit).  For a
+//! trainer the functional half of a synchronization is therefore a no-op.
 //!
-//! The host pass also reads only what can be non-zero.  A chunk's
-//! `phi_local` is written only by the initialization paths and by update-φ,
-//! and both write only through the chunk's own tokens, so its column for a
-//! word it holds no token of is zero.  The pass therefore sums each word's
-//! column over the chunks that own the word (`word_token_count(v) > 0`) and
-//! stores zeros where no chunk does.  On a tail-heavy vocabulary most words
-//! live in one chunk, so the pass reads about one local column per word
-//! instead of one per chunk.
-//!
-//! The reduce itself runs on real OS threads, which is safe precisely
-//! because everything summed here is an integer count: addition commutes, so
-//! no thread interleaving can change a column sum.  Floating-point reduces
-//! must not be added to this path without routing them through the shim's
-//! fixed partial-sum tree, where the tree shape — not thread arrival order —
-//! defines the result.
+//! Chunks built with `ChunkState::new` each own a private pair holding only
+//! their own counts; the layer-by-layer probe of the benchmark and unit
+//! tests build them.  For those the synchronization recounts every word's
+//! column from the `z` of the chunks that hold the word and stores it into
+//! every pair, with zeros for a word no chunk holds.  The recount runs on
+//! real OS threads, which is safe because every value is an integer count.
+//! Floating-point reduces must not be added to this path without routing
+//! them through the shim's fixed partial-sum tree, where the tree shape —
+//! not thread arrival order — defines the result.
 
 use crate::config::LdaConfig;
-use crate::model::ChunkState;
+use crate::model::{recount_column, ChunkState, TopicTotals};
 use culda_gpusim::MultiGpuSystem;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -418,9 +411,8 @@ pub(crate) fn hier_shard_times(
     (times, intra, inter)
 }
 
-/// Combine every chunk's `phi_local` / `nk_local` into the synchronized
-/// `phi_global` / `nk_global` and return the per-shard simulated costs of
-/// the tree schedules under `plan`: on a multi-node system with the
+/// Synchronize the chunks' φ / `n_k` and return the per-shard simulated
+/// costs of the tree schedules under `plan`: on a multi-node system with the
 /// hierarchy enabled, each shard is costed as its per-node tree reduce +
 /// broadcast and every fabric group's reduced columns cross the inter-node
 /// fabric once, folded into the group's last shard.  A dense plan uses one
@@ -428,15 +420,9 @@ pub(crate) fn hier_shard_times(
 ///
 /// `compress_16bit` selects the per-element transfer size (§6.1.3 halves the
 /// synchronization volume as well as the kernel traffic).  The functional
-/// result is bit-identical for every plan: each global cell is an integer
-/// sum of the chunk contributions, and neither the shard grouping nor the
-/// tier structure changes any of the sums.
-///
-/// The functional pass sums each word's column over its *owners* only: the
-/// chunks with `layout.word_token_count(v) > 0`.  This relies on one
-/// invariant: a chunk's `phi_local` is written only by the initialization
-/// paths and by update-φ, and both write only through the chunk's own
-/// tokens, so the column of a word the chunk does not hold is zero.
+/// result is the same for every plan: when every chunk shares one φ / n_k
+/// pair (a trainer) there is nothing to do; otherwise every pair receives a
+/// recount of all chunks' `z` (see the module docs).
 pub fn synchronize_phi_hier_sharded(
     states: &[Arc<ChunkState>],
     system: &MultiGpuSystem,
@@ -444,7 +430,7 @@ pub fn synchronize_phi_hier_sharded(
     compress_16bit: bool,
 ) -> ShardedSyncStats {
     assert!(!states.is_empty());
-    let v = states[0].phi_local.cols();
+    let v = states[0].layout.vocab_size;
     let base = plan.base();
     let ranges = if base.is_dense() {
         base.shard_ranges(v)
@@ -467,51 +453,12 @@ pub fn synchronize_phi_hier_over_ranges(
 ) -> ShardedSyncStats {
     assert!(!states.is_empty());
     let k = states[0].num_topics();
-    let v = states[0].phi_local.cols();
-    debug_assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), v);
-
-    // --- Functional part: sum each word's column over the chunks that own
-    // it (φ is stored word-major), write it into the first distinct global
-    // and copy it into the rest (one for a trainer, whose chunks share it).
-    // A column no chunk owns is stored as zeros.  Shards only structure the
-    // costed schedule, so the pass ignores them. ---
-    let phi_globals = distinct(states.iter().map(|st| &st.phi_global));
-    let nk_globals = distinct(states.iter().map(|st| &st.nk_global));
-    let (phi_out, phi_copies) = phi_globals.split_first().expect("at least one chunk");
-    (0..v).into_par_iter().for_each(|col| {
-        let out = phi_out.column(col);
-        let mut owned = states
-            .iter()
-            .filter(|st| st.layout.word_token_count(col) > 0)
-            .map(|st| st.phi_local.column(col));
-        match owned.next() {
-            None => out.iter().for_each(|cell| cell.store(0, Ordering::Relaxed)),
-            Some(first) => {
-                for (cell, local) in out.iter().zip(first) {
-                    cell.store(local.load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-                for local in owned {
-                    for (cell, add) in out.iter().zip(local) {
-                        let sum = cell.load(Ordering::Relaxed) + add.load(Ordering::Relaxed);
-                        cell.store(sum, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        for copy in phi_copies {
-            for (dst, src) in copy.column(col).iter().zip(out) {
-                dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-        }
-    });
-    let mut nk = vec![0i64; k];
-    for st in states {
-        for (acc, val) in nk.iter_mut().zip(st.nk_local.to_vec()) {
-            *acc += val;
-        }
-    }
-    for global in &nk_globals {
-        global.store_all(&nk);
+    debug_assert_eq!(
+        ranges.iter().map(|r| r.len()).sum::<usize>(),
+        states[0].layout.vocab_size
+    );
+    if !shares_one_pair(states) {
+        store_recount(states);
     }
 
     // --- Cost model: one tree schedule per shard, grouped fabric hops. ---
@@ -530,30 +477,59 @@ pub fn synchronize_phi_hier_over_ranges(
     }
 }
 
-/// The distinct allocations among `arcs`, in first-seen order.
-fn distinct<'a, T>(arcs: impl Iterator<Item = &'a Arc<T>>) -> Vec<&'a Arc<T>> {
-    let mut out: Vec<&'a Arc<T>> = Vec::new();
-    for arc in arcs {
-        if !out.iter().any(|seen| Arc::ptr_eq(seen, arc)) {
-            out.push(arc);
-        }
+/// Whether every chunk reads and updates the same φ / n_k pair.
+fn shares_one_pair(states: &[Arc<ChunkState>]) -> bool {
+    let first = &states[0];
+    states.iter().all(|st| {
+        Arc::ptr_eq(&st.phi_global, &first.phi_global)
+            && Arc::ptr_eq(&st.nk_global, &first.nk_global)
+    })
+}
+
+/// Store a recount of every chunk's `z` into every chunk's φ / n_k pair,
+/// word by word (φ is stored word-major); shards only structure the costed
+/// schedule, so the pass ignores them.
+fn store_recount(states: &[Arc<ChunkState>]) {
+    let k = states[0].num_topics();
+    let nk = TopicTotals::zeros(k);
+    (0..states[0].layout.vocab_size)
+        .into_par_iter()
+        .for_each(|v| {
+            let mut column = vec![0u32; k];
+            recount_column(states.iter().map(Arc::as_ref), v, &mut column);
+            for st in states {
+                for (cell, &count) in st.phi_global.column(v).iter().zip(&column) {
+                    cell.store(count, Ordering::Relaxed);
+                }
+            }
+            for (topic, &count) in column.iter().enumerate() {
+                if count > 0 {
+                    nk.add(topic, count as i64);
+                }
+            }
+        });
+    let nk = nk.to_vec();
+    for st in states {
+        st.nk_global.store_all(&nk);
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::LdaConfig;
+    use crate::kernels::{names, UpdatePhiKernel};
+    use crate::work::build_work_items;
     use culda_corpus::{Corpus, DatasetProfile, Partitioner};
-    use culda_gpusim::{DeviceSpec, Interconnect};
+    use culda_gpusim::{DeviceSpec, Interconnect, LaunchConfig};
 
     fn make_states(corpus: &Corpus, chunks: usize, k: usize) -> Vec<Arc<ChunkState>> {
         build_states(corpus, chunks, k, false)
     }
 
     /// With `shared`, every chunk reads one synchronized φ / n_k pair, as in
-    /// a trainer; otherwise each chunk owns a pair (`ChunkState::new`).
+    /// a trainer; otherwise each chunk owns a pair (`ChunkState::new`), as in
+    /// the benchmark's probe.
     fn build_states(
         corpus: &Corpus,
         chunks: usize,
@@ -574,11 +550,7 @@ mod tests {
                 } else {
                     ChunkState::new(i, layout, k)
                 };
-                let mut x = (i as u32 + 1).wrapping_mul(2654435761);
-                st.random_init(&cfg, move || {
-                    x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-                    (x >> 16) as u16
-                });
+                st.random_init_stable(&cfg, 5);
                 Arc::new(st)
             })
             .collect()
@@ -623,7 +595,7 @@ mod tests {
 
         // Every chunk sees the same global matrix, and it sums to the corpus
         // token count.
-        let total: u64 = states[0].phi_global.total();
+        let total: u64 = states[0].phi_global.to_dense().total();
         assert_eq!(total, corpus.num_tokens() as u64);
         for st in &states[1..] {
             assert_eq!(st.phi_global.to_dense(), states[0].phi_global.to_dense());
@@ -644,7 +616,8 @@ mod tests {
         let system = MultiGpuSystem::single(DeviceSpec::v100_volta(), 3);
         let stats = flat_sync(&states, &system, SyncPlan::dense(), true).stats;
         assert_eq!(stats.time_s, 0.0);
-        assert_eq!(states[0].phi_global.total(), corpus.num_tokens() as u64);
+        let total = states[0].phi_global.to_dense().total();
+        assert_eq!(total, corpus.num_tokens() as u64);
     }
 
     #[test]
@@ -707,34 +680,59 @@ mod tests {
         }
 
         // A tail-heavy corpus: most words live in one or two of the four
-        // chunks, and the last word in none.  The owner-only pass must still
-        // leave every global equal to a recount of z, including a zero
-        // column for the missing word whose global column was dirtied.
+        // chunks, and the last word in none.  Each chunk runs one update-φ
+        // launch, which adds its deltas into its own pair.  The shared pair
+        // is then current without a sync; the private pairs (one per chunk,
+        // as in the probe) must come out of the sync equal to it and to a
+        // recount of z, including a zero column for the missing word whose
+        // private columns were dirtied.
         let tail = tail_corpus();
         let missing = tail.vocab_size() - 1;
-        for shared in [false, true] {
+        let [private, shared] = [false, true].map(|shared| {
             let states = build_states(&tail, 4, 6, shared);
-            let owners = |v: usize| {
-                states
-                    .iter()
-                    .filter(|st| st.layout.word_token_count(v) > 0)
-                    .count()
-            };
-            assert_eq!(owners(missing), 0);
-            assert!((0..missing).any(|v| owners(v) == 1));
-            assert!((0..missing).any(|v| (2..4).contains(&owners(v))));
-            for st in &states {
-                for row in 0..6 {
-                    st.phi_global.store(row, missing, 7);
+            for (i, st) in states.iter().enumerate() {
+                for (pos, (z, next)) in st.z.iter().zip(&st.z_next).enumerate() {
+                    let old = z.load(Ordering::Relaxed) as usize;
+                    let new = if pos % 3 == 0 { old } else { (old + pos) % 6 };
+                    next.store(new as u16, Ordering::Relaxed);
                 }
+                let items = build_work_items(&st.layout, 64);
+                let kernel = UpdatePhiKernel {
+                    state: st,
+                    items: &items,
+                    compress_16bit: true,
+                };
+                let launch = LaunchConfig::new(items.len());
+                cluster
+                    .device(i % 4)
+                    .launch(names::UPDATE_PHI, launch, &kernel);
             }
-            synchronize_phi_hier_sharded(&states, &cluster, &plan, true);
-            let (phi, nk) = recount(&states, 6);
-            for st in &states {
-                assert_eq!(st.phi_global.to_dense(), phi);
-                assert_eq!(st.nk_global.to_vec(), nk);
-                assert!((0..6).all(|row| st.phi_global.load(row, missing) == 0));
+            states
+        });
+        let owners = |v: usize| {
+            private
+                .iter()
+                .filter(|st| st.layout.word_token_count(v) > 0)
+                .count()
+        };
+        assert_eq!(owners(missing), 0);
+        assert!((0..missing).any(|v| owners(v) == 1));
+        assert!((0..missing).any(|v| (2..4).contains(&owners(v))));
+        let (phi, nk) = recount(&private, 6);
+        assert_eq!(recount(&shared, 6), (phi.clone(), nk.clone()));
+        assert_ne!(private[0].phi_global.to_dense(), phi, "not yet synced");
+        for st in &private {
+            for row in 0..6 {
+                st.phi_global.store(row, missing, 7);
             }
+        }
+        let private_sync = synchronize_phi_hier_sharded(&private, &cluster, &plan, true);
+        let shared_sync = synchronize_phi_hier_sharded(&shared, &cluster, &plan, true);
+        assert_eq!(private_sync, shared_sync);
+        for st in private.iter().chain(&shared) {
+            assert_eq!(st.phi_global.to_dense(), phi);
+            assert_eq!(st.nk_global.to_vec(), nk);
+            assert!((0..6).all(|row| st.phi_global.load(row, missing) == 0));
         }
     }
 

@@ -20,9 +20,9 @@
 
 use crate::config::LdaConfig;
 use crate::kernels::{sampler_for, SamplerKernel, SamplerResumeState};
-use crate::model::{ChunkState, TopicTotals};
+use crate::model::{check_recount, ChunkState, TopicTotals};
 use crate::schedule::{run_iteration, IterationStats, ScheduleKind};
-use crate::sync::{synchronize_phi_hier_sharded, HierarchicalSyncPlan, SyncPlan};
+use crate::sync::{HierarchicalSyncPlan, SyncPlan};
 use crate::work::{build_work_items, WorkItem};
 use culda_corpus::{Corpus, Partitioner};
 use culda_gpusim::MultiGpuSystem;
@@ -95,9 +95,9 @@ impl CuLdaTrainer {
     /// Build a trainer (what [`crate::session::SessionBuilder`] calls):
     /// validates the configuration, chooses `M` (chunks per GPU) from the
     /// device memory capacity as §5.1 prescribes, partitions the corpus by
-    /// token count, preprocesses every chunk into its word-major layout,
-    /// initialises the topic assignments and performs the initial φ
-    /// synchronization.  `init` optionally restores an explicit assignment
+    /// token count, preprocesses every chunk into its word-major layout and
+    /// initialises the topic assignments, which fills the one synchronized
+    /// φ every chunk shares.  `init` optionally restores an explicit assignment
     /// snapshot (`z[doc][token]`, original token order, covering exactly
     /// this corpus) together with the iteration counter to continue the RNG
     /// streams from, and `sampler_state` optionally replays checkpointed
@@ -189,7 +189,8 @@ impl CuLdaTrainer {
         // initial topics come from the counter-based generator keyed by each
         // token's (document, slot) identity, so the initialisation — like the
         // sampling draws — is identical for every chunking of the corpus.
-        // Every chunk reads the one synchronized φ / n_k pair allocated here.
+        // Every chunk adds its tokens into, and later samples from, the one
+        // synchronized φ / n_k pair allocated here.
         let phi_global = Arc::new(AtomicMatrix::zeros(config.num_topics, corpus.vocab_size()));
         let nk_global = Arc::new(TopicTotals::zeros(config.num_topics));
         let states: Vec<Arc<ChunkState>> = layouts
@@ -226,9 +227,7 @@ impl CuLdaTrainer {
             .map(|s| build_work_items(&s.layout, config.max_tokens_per_block))
             .collect();
 
-        // Initial synchronization so every chunk samples from the full φ.
         let sync_plan = HierarchicalSyncPlan::from_config(&config, corpus.vocab_size());
-        synchronize_phi_hier_sharded(&states, &system, &sync_plan, config.compress_16bit);
         let tune_groups = system.num_nodes() > 1
             && config.hierarchical_sync
             && config.sync_inter_groups.is_none();
@@ -268,8 +267,8 @@ impl CuLdaTrainer {
         let g = system.num_gpus() as u64;
         let capacity = system.device(0).spec.mem_capacity_bytes;
         let phi_elem: u64 = if config.compress_16bit { 2 } else { 4 };
-        // Two φ replicas (local + global) plus topic totals live on every GPU
-        // regardless of M.
+        // Two φ matrices (the GPU's contribution and its replica of the
+        // synchronized φ) plus topic totals live on every GPU regardless of M.
         let phi_bytes = 2 * (config.num_topics as u64 * corpus.vocab_size() as u64 * phi_elem)
             + config.num_topics as u64 * 16;
         // Per-token chunk footprint: word-major corpus (4), doc map (4),
@@ -577,19 +576,13 @@ impl CuLdaTrainer {
         self.system.aggregate_breakdown()
     }
 
-    /// Verify that every chunk's counts are internally consistent and that
-    /// the global counts cover exactly the corpus (used by integration tests
-    /// and exposed for callers who want to assert invariants mid-run).
+    /// Verify the count invariants (used by integration tests and exposed
+    /// for callers who want to assert invariants mid-run): every θ row sums
+    /// to its document's length, θ covers the corpus, and φ and n_k equal a
+    /// recount of every chunk's `z`, cell for cell.
     pub fn validate(&self) -> Result<(), String> {
         for state in &self.states {
-            state.validate_counts()?;
-        }
-        let total = self.states[0].phi_global.total();
-        if total != self.total_tokens {
-            return Err(format!(
-                "global φ covers {total} tokens, corpus has {}",
-                self.total_tokens
-            ));
+            state.validate_theta()?;
         }
         let theta_total = self.merged_theta().total();
         if theta_total != self.total_tokens {
@@ -598,7 +591,7 @@ impl CuLdaTrainer {
                 self.total_tokens
             ));
         }
-        Ok(())
+        check_recount(&self.states)
     }
 }
 
@@ -714,6 +707,25 @@ mod tests {
             assert_eq!(Arc::strong_count(&first.nk_global), trainer.num_chunks());
             trainer.validate().unwrap();
         }
+    }
+
+    #[test]
+    fn validate_catches_a_count_moved_between_topics() {
+        let corpus = small_corpus();
+        let system = MultiGpuSystem::single(DeviceSpec::v100_volta(), 4);
+        let mut trainer = build(&corpus, LdaConfig::with_topics(8).seed(4), system).unwrap();
+        trainer.train(2);
+        trainer.validate().unwrap();
+        // Move one count of the first word between two topics: the φ total,
+        // the word's column sum and n_k are unchanged.
+        let phi = &trainer.states[0].phi_global;
+        let from = (0..8).find(|&t| phi.load(t, 0) > 0).unwrap();
+        let to = (from + 1) % 8;
+        phi.fetch_sub(from, 0, 1);
+        phi.fetch_add(to, 0, 1);
+        assert_eq!(phi.to_dense().total(), trainer.total_tokens());
+        let err = trainer.validate().unwrap_err();
+        assert!(err.contains("recount"), "{err}");
     }
 
     #[test]

@@ -203,13 +203,6 @@ impl AtomicMatrix {
         prev
     }
 
-    /// Reset every element to zero.
-    pub fn clear(&self) {
-        for x in &self.data {
-            x.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Snapshot into a plain row-major matrix: a transpose of the storage,
     /// done in strips of `STRIP` columns so each output row segment is
     /// written contiguously while the strip's columns are read in order.
@@ -225,23 +218,6 @@ impl AtomicMatrix {
             }
         }
         out
-    }
-
-    /// Sum of every element, in storage order (no transpose).
-    pub fn total(&self) -> u64 {
-        self.data
-            .iter()
-            .map(|x| x.load(Ordering::Relaxed) as u64)
-            .sum()
-    }
-
-    /// Overwrite `self` with the contents of `other`.
-    pub fn copy_from(&self, other: &AtomicMatrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (dst, src) in self.data.iter().zip(&other.data) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
     }
 
     /// Size in bytes of the device-resident representation assuming the
@@ -305,17 +281,6 @@ mod tests {
         assert_eq!(d.get(1, 1), 0);
     }
 
-    #[test]
-    fn atomic_copy_from_overwrites() {
-        let a = AtomicMatrix::zeros(1, 3);
-        let b = AtomicMatrix::zeros(1, 3);
-        a.fetch_add(0, 0, 3);
-        a.fetch_add(0, 2, 9);
-        b.fetch_add(0, 1, 4);
-        b.copy_from(&a);
-        assert_eq!(b.to_dense().as_slice(), &[3, 0, 9]);
-    }
-
     /// The distinct value [`numbered`] stores at `(r, c)`.
     fn cell(r: usize, c: usize) -> u32 {
         (r * 1000 + c) as u32 + 1
@@ -346,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn atomic_to_dense_copy_from_and_total_round_trip_off_strip_shapes() {
+    fn atomic_to_dense_round_trips_off_strip_shapes() {
         // Shapes that are not multiples of the transpose strip.
         for (rows, cols) in [(1, 1), (3, 130), (70, 65)] {
             let a = numbered(rows, cols);
@@ -357,11 +322,6 @@ mod tests {
                     assert_eq!(d.get(r, c), cell(r, c), "({r},{c}) of {rows}x{cols}");
                 }
             }
-            assert_eq!(a.total(), d.total());
-            let b = AtomicMatrix::zeros(rows, cols);
-            b.copy_from(&a);
-            assert_eq!(b.to_dense(), d);
-            assert_eq!(b.total(), d.total());
         }
     }
 
@@ -378,7 +338,6 @@ mod tests {
         (0..1000usize).into_par_iter().for_each(|i| {
             a.fetch_add(i % 4, (i / 4) % 4, 1);
         });
-        assert_eq!(a.total(), 1000);
         assert_eq!(a.to_dense().total(), 1000);
     }
 
