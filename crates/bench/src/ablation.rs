@@ -138,8 +138,10 @@ pub fn transfer_compression(scale: &ExperimentScale) -> TransferCompression {
     let mut raw_bytes = 0u64;
     let mut encoded_bytes = 0u64;
     for layout in &layouts {
-        let ids: Vec<u32> = (0..layout.num_tokens())
-            .map(|p| layout.word_of_position(p as u32))
+        // The word id of every token in word-major order: word v, repeated
+        // once per token of v.
+        let ids: Vec<u32> = (0..layout.vocab_size)
+            .flat_map(|v| std::iter::repeat_n(v as u32, layout.word_token_count(v)))
             .collect();
         let stats = varint::delta_stats(&ids);
         raw_bytes += stats.raw_bytes;

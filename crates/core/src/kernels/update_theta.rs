@@ -5,32 +5,35 @@
 //! token topics into a dense per-document array with atomic adds, using the
 //! document–word map built at preprocessing time to find the document's
 //! tokens inside the word-major chunk; (2) compact the dense array back into
-//! a CSR row with a prefix sum.
+//! a CSR row with a prefix sum.  The launch charges exactly that: one
+//! atomic per token, the map and topic reads, the K-wide scan and the row
+//! writes.
 //!
-//! The simulator performs the same computation per document (functionally a
-//! counting sort over the document's topics) and accounts the dense-scatter
-//! atomics, the map lookups and the compaction traffic.  Each thread block
-//! owns a contiguous range of documents and deposits its finished rows into
-//! its own output slot; the host then stitches the slots into the chunk's new
-//! θ replica (the device would write the rows directly into the CSR arrays
-//! at offsets produced by the prefix sum).
+//! The host counts each row with [`CsrBuilder::push_counted_row`], which
+//! takes the same dense-histogram route for long rows and sorts short ones;
+//! either way the row is the document's sorted `(topic, count)` pairs.  Each
+//! thread block owns a contiguous range of documents and builds their rows
+//! into a block-local CSR matrix in its own output slot; [`finish`] then
+//! appends the slots' rows, already sorted, into the chunk's new θ replica
+//! (the device would write the rows directly into the CSR arrays at offsets
+//! produced by the prefix sum).
+//!
+//! [`finish`]: UpdateThetaKernel::finish
 
 use crate::model::ChunkState;
 use culda_gpusim::{BlockCtx, BlockKernel};
-use culda_sparse::CsrBuilder;
+use culda_sparse::{CsrBuilder, CsrMatrix};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
-
-/// One document's regenerated θ row: sorted `(topic, count)` pairs.
-pub type ThetaRow = Vec<(u16, u32)>;
 
 /// The θ-update kernel for one chunk.
 pub struct UpdateThetaKernel<'a> {
     state: &'a ChunkState,
     docs_per_block: usize,
     compress_16bit: bool,
-    /// Per-block output slots (block `b` owns slot `b`; no contention).
-    rows: Vec<Mutex<Vec<ThetaRow>>>,
+    /// Per-block output slots: block `b` fills slot `b` with the θ rows of
+    /// its documents (no contention).
+    rows: Vec<Mutex<Option<CsrMatrix>>>,
 }
 
 impl<'a> UpdateThetaKernel<'a> {
@@ -41,7 +44,7 @@ impl<'a> UpdateThetaKernel<'a> {
         assert!(docs_per_block > 0);
         let num_blocks = state.layout.num_docs().div_ceil(docs_per_block).max(1);
         let mut rows = Vec::with_capacity(num_blocks);
-        rows.resize_with(num_blocks, || Mutex::new(Vec::new()));
+        rows.resize_with(num_blocks, || Mutex::new(None));
         UpdateThetaKernel {
             state,
             docs_per_block,
@@ -62,10 +65,10 @@ impl<'a> UpdateThetaKernel<'a> {
         let k = self.state.num_topics();
         let mut builder = CsrBuilder::new(docs, k);
         builder.reserve_nnz(self.state.layout.num_tokens().min(docs * k));
-        for slot in &self.rows {
-            let slot = slot.lock();
-            for row in slot.iter() {
-                builder.push_row(row.iter().copied());
+        for block in self.rows.into_iter().filter_map(Mutex::into_inner) {
+            for d in 0..block.rows() {
+                let (cols, vals) = block.row(d);
+                builder.push_sorted_row(cols, vals);
             }
         }
         *self.state.theta.write() = builder.finish();
@@ -75,49 +78,41 @@ impl<'a> UpdateThetaKernel<'a> {
 impl BlockKernel for UpdateThetaKernel<'_> {
     fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
         let state = self.state;
+        let layout = &state.layout;
         let k = state.num_topics();
         let int_bytes: u64 = if self.compress_16bit { 2 } else { 4 };
         let doc_start = block_id * self.docs_per_block;
-        let doc_end = (doc_start + self.docs_per_block).min(state.layout.num_docs());
+        let doc_end = (doc_start + self.docs_per_block).min(layout.num_docs());
         if doc_start >= doc_end {
             return;
         }
 
-        let mut out = Vec::with_capacity(doc_end - doc_start);
-        let mut scratch: Vec<u16> = Vec::new();
+        let docs = doc_end - doc_start;
+        let tokens = (layout.doc_ptr[doc_end] - layout.doc_ptr[doc_start]) as usize;
+        let mut builder = CsrBuilder::new(docs, k);
+        builder.reserve_nnz(tokens.min(docs * k));
         for d in doc_start..doc_end {
-            let positions = state.layout.doc_positions(d);
-            // Step 1: dense scatter — one atomic add per token, plus reading
-            // the document–word map entry and the token's topic.
-            scratch.clear();
-            scratch.extend(
-                positions
+            builder.push_counted_row(
+                layout
+                    .doc_positions(d)
                     .iter()
                     .map(|&p| state.z[p as usize].load(Ordering::Relaxed)),
             );
-            ctx.read_global(positions.len() as u64 * (4 + int_bytes));
-            ctx.atomics(positions.len() as u64);
-
-            // Step 2: compact the dense row into CSR via a prefix sum — the
-            // device scans the K-length dense row and writes K_d entries.
-            scratch.sort_unstable();
-            let mut row: ThetaRow = Vec::new();
-            let mut i = 0usize;
-            while i < scratch.len() {
-                let t = scratch[i];
-                let mut j = i + 1;
-                while j < scratch.len() && scratch[j] == t {
-                    j += 1;
-                }
-                row.push((t, (j - i) as u32));
-                i = j;
-            }
-            ctx.read_global(k as u64 * 4); // scan of the dense scratch row
-            ctx.int_ops(k as u64 / 32 + 1); // warp-level prefix sum steps
-            ctx.write_global(row.len() as u64 * (int_bytes + 4) + 8); // CSR row + row_ptr
-            out.push(row);
         }
-        *self.rows[block_id].lock() = out;
+        let block = builder.finish();
+
+        // Per document, the modelled kernel (1) reads the document–word map
+        // entry and the topic of every token and scatters it with one
+        // atomic add, then (2) scans the K-length dense row, runs a
+        // warp-level prefix sum and writes the K_d-entry CSR row plus its
+        // row pointer.  The block charges the sums over its documents.
+        let (docs, tokens, k) = (docs as u64, tokens as u64, k as u64);
+        ctx.read_global(tokens * (4 + int_bytes));
+        ctx.atomics(tokens);
+        ctx.read_global(docs * k * 4);
+        ctx.int_ops(docs * (k / 32 + 1));
+        ctx.write_global(block.nnz() as u64 * (int_bytes + 4) + 8 * docs);
+        *self.rows[block_id].lock() = Some(block);
     }
 }
 

@@ -170,24 +170,14 @@ impl ChunkState {
     pub fn random_init_stable(&self, config: &LdaConfig, seed: u64) {
         let k = self.num_topics() as u64;
         debug_assert_eq!(k as usize, config.num_topics);
-        for d in 0..self.layout.num_docs() {
-            let global_doc = (self.layout.range.start + d) as u64;
-            for (t, &pos) in self.layout.doc_positions(d).iter().enumerate() {
-                let draw = culda_gpusim::rng::stable_u64(
-                    seed,
-                    Self::INIT_STREAM,
-                    (global_doc << 32) | t as u64,
-                );
-                let topic = (draw % k) as u16;
-                let pos = pos as usize;
-                self.z[pos].store(topic, Ordering::Relaxed);
-                self.z_next[pos].store(topic, Ordering::Relaxed);
-                let v = self.layout.word_of_position(pos as u32) as usize;
-                self.phi_global.fetch_add(topic as usize, v, 1);
-                self.nk_global.add(topic as usize, 1);
-            }
-        }
-        self.rebuild_theta();
+        let first_doc = self.layout.range.start as u64;
+        self.init_word_major(|pos| {
+            let global_doc = first_doc + self.layout.token_doc[pos] as u64;
+            let slot = self.token_slot[pos] as u64;
+            let draw =
+                culda_gpusim::rng::stable_u64(seed, Self::INIT_STREAM, (global_doc << 32) | slot);
+            (draw % k) as u16
+        });
     }
 
     /// RNG stream tag for the initial assignment (iteration numbers, which
@@ -203,16 +193,46 @@ impl ChunkState {
     /// documents with the right lengths and in-range topics.  Adds into
     /// φ / n_k like [`ChunkState::random_init_stable`].
     pub fn init_from_assignments(&self, z: &[Vec<u16>]) {
-        for d in 0..self.layout.num_docs() {
-            let row = &z[self.layout.range.start + d];
-            for (t, &pos) in self.layout.doc_positions(d).iter().enumerate() {
-                let topic = row[t];
-                let pos = pos as usize;
+        let first_doc = self.layout.range.start;
+        self.init_word_major(|pos| {
+            z[first_doc + self.layout.token_doc[pos] as usize][self.token_slot[pos] as usize]
+        });
+    }
+
+    /// Set every token's `z` and `z_next` to `topic_of(position)`, add the
+    /// chunk's counts into φ / n_k and build θ.
+    ///
+    /// The walk is word-major, so each word's counts gather in one K-wide
+    /// local column.  Rescanning the word's tokens flushes that column with
+    /// one φ add per distinct topic and leaves it zeroed, so a word costs
+    /// O(its tokens), not O(K).  The chunk's n_k is summed locally and added
+    /// once.  A token's topic depends only on its identity, never on the
+    /// walk order, so the result is the same as for a document-major walk.
+    fn init_word_major(&self, topic_of: impl Fn(usize) -> u16) {
+        let k = self.num_topics();
+        let mut column = vec![0u32; k];
+        let mut nk = vec![0i64; k];
+        for v in 0..self.layout.vocab_size {
+            let (start, end) = self.layout.word_token_range(v);
+            for pos in start..end {
+                let topic = topic_of(pos);
                 self.z[pos].store(topic, Ordering::Relaxed);
                 self.z_next[pos].store(topic, Ordering::Relaxed);
-                let v = self.layout.word_of_position(pos as u32) as usize;
-                self.phi_global.fetch_add(topic as usize, v, 1);
-                self.nk_global.add(topic as usize, 1);
+                column[topic as usize] += 1;
+            }
+            let phi = self.phi_global.column(v);
+            for z in &self.z[start..end] {
+                let topic = z.load(Ordering::Relaxed) as usize;
+                let count = std::mem::take(&mut column[topic]);
+                if count != 0 {
+                    phi[topic].fetch_add(count, Ordering::Relaxed);
+                    nk[topic] += count as i64;
+                }
+            }
+        }
+        for (topic, &count) in nk.iter().enumerate() {
+            if count != 0 {
+                self.nk_global.add(topic, count);
             }
         }
         self.rebuild_theta();
@@ -226,14 +246,13 @@ impl ChunkState {
         let docs = self.layout.num_docs();
         let mut builder = CsrBuilder::new(docs, k);
         builder.reserve_nnz(self.layout.num_tokens().min(docs * k));
-        let mut scratch: Vec<(u16, u32)> = Vec::new();
         for d in 0..docs {
-            scratch.clear();
-            for &pos in self.layout.doc_positions(d) {
-                let topic = self.z[pos as usize].load(Ordering::Relaxed);
-                scratch.push((topic, 1));
-            }
-            builder.push_row(scratch.iter().copied());
+            builder.push_counted_row(
+                self.layout
+                    .doc_positions(d)
+                    .iter()
+                    .map(|&pos| self.z[pos as usize].load(Ordering::Relaxed)),
+            );
         }
         *self.theta.write() = builder.finish();
     }
@@ -321,7 +340,7 @@ pub(crate) fn check_recount(states: &[Arc<ChunkState>]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use culda_corpus::{partition::DocRange, CorpusBuilder};
+    use culda_corpus::{partition::DocRange, CorpusBuilder, DatasetProfile, Partitioner};
 
     fn small_state(num_topics: usize) -> ChunkState {
         let mut b = CorpusBuilder::new(6);
@@ -346,6 +365,100 @@ mod tests {
         assert_eq!(theta.total(), 10);
         assert_eq!(theta.rows(), 3);
         assert_eq!(theta.cols(), 4);
+    }
+
+    /// A corpus whose documents of about 30 tokens give θ rows on both
+    /// sides of the counting switch at K = 16.
+    fn mixed_length_corpus() -> culda_corpus::Corpus {
+        DatasetProfile {
+            name: "t".into(),
+            num_docs: 60,
+            vocab_size: 90,
+            avg_doc_len: 30.0,
+            zipf_exponent: 1.0,
+            doc_len_sigma: 0.6,
+        }
+        .generate(4)
+    }
+
+    /// Four chunks of `corpus` sharing one φ / n_k pair, as a trainer
+    /// builds them, each initialized by `init`.
+    fn four_shared_chunks(
+        corpus: &culda_corpus::Corpus,
+        k: usize,
+        init: impl Fn(&ChunkState),
+    ) -> Vec<Arc<ChunkState>> {
+        let phi = Arc::new(AtomicMatrix::zeros(k, corpus.vocab_size()));
+        let nk = Arc::new(TopicTotals::zeros(k));
+        let states: Vec<Arc<ChunkState>> = Partitioner::by_tokens(corpus, 4)
+            .build_layouts(corpus)
+            .into_iter()
+            .enumerate()
+            .map(|(i, layout)| {
+                let state = ChunkState::with_globals(i, layout, phi.clone(), nk.clone());
+                init(&state);
+                Arc::new(state)
+            })
+            .collect();
+        let tokens: i64 = nk.to_vec().iter().sum();
+        assert_eq!(tokens as usize, corpus.num_tokens());
+        states
+    }
+
+    /// Check initialized chunks against their definition: every token's
+    /// `z` / `z_next`, read through the document–word map, is
+    /// `expected(global_doc, slot)`; φ / n_k equal a recount of `z`; θ
+    /// equals `push_row` of each document's `(topic, 1)` pairs.
+    fn assert_init_matches(states: &[Arc<ChunkState>], expected: impl Fn(usize, usize) -> u16) {
+        for st in states {
+            let mut reference = CsrBuilder::new(st.layout.num_docs(), st.num_topics());
+            for d in 0..st.layout.num_docs() {
+                let positions = st.layout.doc_positions(d);
+                for (slot, &pos) in positions.iter().enumerate() {
+                    let want = expected(st.layout.range.start + d, slot);
+                    assert_eq!(st.z[pos as usize].load(Ordering::Relaxed), want);
+                    assert_eq!(st.z_next[pos as usize].load(Ordering::Relaxed), want);
+                }
+                reference.push_row(
+                    positions
+                        .iter()
+                        .map(|&pos| (st.z[pos as usize].load(Ordering::Relaxed), 1)),
+                );
+            }
+            assert_eq!(*st.theta.read(), reference.finish());
+        }
+        check_recount(states).unwrap();
+    }
+
+    #[test]
+    fn word_major_random_init_keys_each_token_by_document_and_slot() {
+        let (k, seed) = (16u64, 11);
+        let config = LdaConfig::with_topics(k as usize);
+        let corpus = mixed_length_corpus();
+        let states = four_shared_chunks(&corpus, k as usize, |st| {
+            st.random_init_stable(&config, seed)
+        });
+        assert_init_matches(&states, |doc, slot| {
+            let key = ((doc as u64) << 32) | slot as u64;
+            (culda_gpusim::rng::stable_u64(seed, ChunkState::INIT_STREAM, key) % k) as u16
+        });
+    }
+
+    #[test]
+    fn word_major_init_from_assignments_reads_each_tokens_snapshot_cell() {
+        let k = 16;
+        let corpus = mixed_length_corpus();
+        // A snapshot unlike the random init: a fixed pattern over
+        // (document, slot).
+        let snapshot: Vec<Vec<u16>> = (0..corpus.num_docs())
+            .map(|d| {
+                (0..corpus.doc_len(d))
+                    .map(|t| ((d * 31 + t * 7) % k) as u16)
+                    .collect()
+            })
+            .collect();
+        let states = four_shared_chunks(&corpus, k, |st| st.init_from_assignments(&snapshot));
+        assert_init_matches(&states, |doc, slot| snapshot[doc][slot]);
     }
 
     #[test]

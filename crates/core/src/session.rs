@@ -832,7 +832,7 @@ impl StreamingSession {
         let k = self.config.num_topics;
         let mut builder = CsrBuilder::new(self.meta.len(), k);
         for meta in self.meta.values() {
-            builder.push_row(meta.z.iter().map(|&t| (t, 1u32)));
+            builder.push_counted_row(meta.z.iter().copied());
         }
         let theta: CsrMatrix = builder.finish();
         // Sampler-internal state: from the live trainer when it is fresh;

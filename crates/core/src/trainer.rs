@@ -521,7 +521,7 @@ impl CuLdaTrainer {
             let theta = state.theta.read();
             for d in 0..theta.rows() {
                 let (cols, vals) = theta.row(d);
-                builder.push_row(cols.iter().copied().zip(vals.iter().copied()));
+                builder.push_sorted_row(cols, vals);
             }
         }
         builder.finish()

@@ -13,7 +13,7 @@
 //!   rebuild θ rows (§6.2, "the map is generated on CPU's side at the data
 //!   preprocessing stage").
 
-use crate::corpus::{Corpus, WordId};
+use crate::corpus::Corpus;
 use culda_sparse::prefix::parallel_offsets_u64;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -252,14 +252,6 @@ impl ChunkLayout {
         slots
     }
 
-    /// Recover the word id of the token stored at word-major position `pos`
-    /// (a binary search over `word_ptr`; kernels avoid it by iterating words,
-    /// but tests and the θ log-likelihood code use it).
-    pub fn word_of_position(&self, pos: u32) -> WordId {
-        let v = self.word_ptr.partition_point(|&p| p <= pos) - 1;
-        v as WordId
-    }
-
     /// Distinct words that actually occur in this chunk.
     pub fn words_present(&self) -> usize {
         (0..self.vocab_size)
@@ -391,13 +383,6 @@ mod tests {
         let (s, e) = layout.word_token_range(1);
         let docs: Vec<u32> = layout.token_doc[s..e].to_vec();
         assert_eq!(docs, vec![0, 0, 3]);
-        // word_of_position is the inverse of word_token_range.
-        for v in 0..5 {
-            let (s, e) = layout.word_token_range(v);
-            for pos in s..e {
-                assert_eq!(layout.word_of_position(pos as u32), v as WordId);
-            }
-        }
     }
 
     #[test]
@@ -409,10 +394,6 @@ mod tests {
         assert_eq!(layout.num_tokens(), 5);
         assert_eq!(layout.doc_len(0), 2); // global doc 1
         assert_eq!(layout.doc_len(1), 3); // global doc 2
-                                          // All of local doc 0's positions hold tokens of word 2.
-        for &p in layout.doc_positions(0) {
-            assert_eq!(layout.word_of_position(p), 2);
-        }
     }
 
     #[test]

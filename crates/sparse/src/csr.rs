@@ -199,9 +199,20 @@ impl CsrMatrix {
 
 /// Incremental builder for [`CsrMatrix`], pushing one row at a time.
 ///
-/// This mirrors the way the update-θ kernel (§6.2) regenerates θ after each
-/// iteration: a dense per-document scratch array is compacted into a CSR row
-/// using a prefix sum over the per-row non-zero counts.
+/// Rows enter through one of three doors:
+///
+/// * [`CsrBuilder::push_counted_row`] counts a θ row from its tokens'
+///   topics; the trainer, the streaming session and the update-θ kernel
+///   (§6.2) count every θ row they build from tokens with it.  A long row is counted in a dense
+///   `cols`-wide histogram that is scanned and reset in place, as the
+///   paper's kernel compacts its dense per-document array; a short row is
+///   sorted and run-length encoded.  A row of `n` tokens is long when
+///   `n ≥ 16` and `n·⌈log2(n+1)⌉ > cols`, i.e. when sorting it would cost
+///   more steps than the `cols`-wide scan.
+/// * [`CsrBuilder::push_sorted_row`] appends a row that is already in CSR
+///   form, such as a row of another [`CsrMatrix`].
+/// * [`CsrBuilder::push_row`] takes unsorted `(column, value)` pairs, as
+///   read from disk, and sorts them.
 #[derive(Debug)]
 pub struct CsrBuilder {
     cols: usize,
@@ -210,6 +221,21 @@ pub struct CsrBuilder {
     col_idx: Vec<TopicId>,
     values: Vec<u32>,
     scratch: Vec<(TopicId, u32)>,
+    /// Sort buffer of the short-row path of `push_counted_row`.
+    topics: Vec<TopicId>,
+    /// `cols`-wide histogram of the long-row path of `push_counted_row`,
+    /// allocated on first use and all zero between calls.
+    histogram: Vec<u32>,
+}
+
+/// Whether [`CsrBuilder::push_counted_row`] counts a row of `n` tokens over
+/// `cols` columns in a dense histogram (true) or by sorting (false).
+/// Sorting costs about `n·⌈log2(n+1)⌉` steps and the histogram a `cols`-wide
+/// scan; rows under 16 tokens always sort, since that is a few compares.
+#[inline]
+fn counts_by_histogram(n: usize, cols: usize) -> bool {
+    let log2_ceil = (usize::BITS - n.leading_zeros()) as usize;
+    n >= 16 && n * log2_ceil > cols
 }
 
 impl CsrBuilder {
@@ -228,6 +254,8 @@ impl CsrBuilder {
             col_idx: Vec::new(),
             values: Vec::new(),
             scratch: Vec::new(),
+            topics: Vec::new(),
+            histogram: Vec::new(),
         }
     }
 
@@ -259,6 +287,52 @@ impl CsrBuilder {
             }
             i = j;
         }
+        self.row_ptr.push(self.col_idx.len() as u32);
+    }
+
+    /// Append the next row counted from its tokens' topics: every distinct
+    /// topic with its number of occurrences, exactly the row
+    /// `push_row(topics.map(|t| (t, 1)))` appends.
+    pub fn push_counted_row(&mut self, topics: impl ExactSizeIterator<Item = TopicId>) {
+        if counts_by_histogram(topics.len(), self.cols) {
+            if self.histogram.is_empty() {
+                self.histogram = vec![0; self.cols];
+            }
+            for t in topics {
+                self.histogram[t as usize] += 1;
+            }
+            for (c, count) in self.histogram.iter_mut().enumerate() {
+                if *count != 0 {
+                    self.col_idx.push(c as TopicId);
+                    self.values.push(std::mem::take(count));
+                }
+            }
+        } else {
+            self.topics.clear();
+            self.topics.extend(topics);
+            self.topics.sort_unstable();
+            for run in self.topics.chunk_by(|a, b| a == b) {
+                debug_assert!(
+                    (run[0] as usize) < self.cols,
+                    "column {} out of bounds",
+                    run[0]
+                );
+                self.col_idx.push(run[0]);
+                self.values.push(run.len() as u32);
+            }
+        }
+        self.row_ptr.push(self.col_idx.len() as u32);
+    }
+
+    /// Append the next row in CSR form: strictly increasing in-bounds
+    /// columns with non-zero values (checked in debug builds).
+    pub fn push_sorted_row(&mut self, cols: &[TopicId], values: &[u32]) {
+        debug_assert_eq!(cols.len(), values.len());
+        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "columns not sorted");
+        debug_assert!(cols.last().is_none_or(|&c| (c as usize) < self.cols));
+        debug_assert!(!values.contains(&0), "explicit zero");
+        self.col_idx.extend_from_slice(cols);
+        self.values.extend_from_slice(values);
         self.row_ptr.push(self.col_idx.len() as u32);
     }
 
@@ -391,6 +465,69 @@ mod tests {
         let mut b = CsrBuilder::new(1, 6);
         b.push_row([(1u16, 3u32), (4, 7)]);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    /// Check `push_counted_row` against its definition, `push_row` of
+    /// `(topic, 1)` pairs, over rows pushed one after another into one
+    /// builder.
+    fn assert_counted_rows_match_push_row(cols: usize, rows: &[Vec<TopicId>]) {
+        let mut counted = CsrBuilder::new(rows.len(), cols);
+        let mut reference = CsrBuilder::new(rows.len(), cols);
+        for row in rows {
+            counted.push_counted_row(row.iter().copied());
+            reference.push_row(row.iter().map(|&t| (t, 1)));
+        }
+        assert_eq!(counted.finish(), reference.finish(), "cols = {cols}");
+    }
+
+    /// `n` topics below `cols` in scrambled order, with repeats, starting
+    /// at topic 0 and ending at topic `cols - 1`.
+    fn scrambled_row(n: usize, cols: usize) -> Vec<TopicId> {
+        let mut row: Vec<TopicId> = (0..n)
+            .map(|i| ((i * 37 + i / 3) % cols) as TopicId)
+            .collect();
+        if n >= 2 {
+            row[0] = 0;
+            row[n - 1] = (cols - 1) as TopicId;
+        }
+        row
+    }
+
+    #[test]
+    fn counted_rows_equal_push_row_on_edge_cases() {
+        let cols = 8;
+        assert_counted_rows_match_push_row(cols, &[vec![]]);
+        assert_counted_rows_match_push_row(cols, &[vec![3]]);
+        assert_counted_rows_match_push_row(cols, &[vec![5; 3], vec![5; 40]]);
+        assert_counted_rows_match_push_row(cols, &[vec![7, 0, 7], scrambled_row(30, cols)]);
+    }
+
+    #[test]
+    fn counted_rows_equal_push_row_on_both_sides_of_the_switch() {
+        for cols in [8usize, 128, 512] {
+            let switch = (1..).find(|&n| counts_by_histogram(n, cols)).unwrap();
+            assert!(switch >= 16 && !counts_by_histogram(switch - 1, cols));
+            let below = scrambled_row(switch - 1, cols);
+            let above = scrambled_row(switch, cols);
+            assert_counted_rows_match_push_row(cols, &[below.clone(), above.clone()]);
+            // Two long rows in a row: the second must not see the first's
+            // counts, i.e. the histogram is left zeroed.
+            let mut shifted = above.clone();
+            shifted.rotate_left(5);
+            shifted[0] = 1;
+            assert_counted_rows_match_push_row(cols, &[above, shifted, below]);
+        }
+    }
+
+    #[test]
+    fn push_sorted_row_copies_rows_of_another_matrix() {
+        let m = sample();
+        let mut b = CsrBuilder::new(m.rows(), m.cols());
+        for r in 0..m.rows() {
+            let (cols, vals) = m.row(r);
+            b.push_sorted_row(cols, vals);
+        }
+        assert_eq!(b.finish(), m);
     }
 
     #[test]
