@@ -16,6 +16,13 @@
 //! single documents or whole corpora (the latter in parallel with rayon,
 //! since documents are independent once φ is frozen).
 //!
+//! The frozen weights are stored word-major and sparse: one base vector
+//! for every zero cell, each word's non-zero weights, and a dense column
+//! only for words dense enough to need one (see [`TopicInferencer`] and
+//! DESIGN.md §12, "Frozen-model layout").  A token reads one contiguous
+//! K-wide column, replies are the bits a dense `K × V` weight matrix gives,
+//! and the model takes O(nnz(φ) + K + hot·K) memory instead of O(K·V).
+//!
 //! Because inference is the *serving* path — the model may come from an
 //! untrusted checkpoint on disk — construction and querying are fallible:
 //! the `try_*` methods return a typed [`InferenceError`] on corrupt input
@@ -180,13 +187,50 @@ impl DocumentTopics {
     }
 }
 
+/// A word is *hot* when `nnz · HOT_DENSITY ≥ K`: its non-zero cells fill at
+/// least an eighth of the topics, so the frozen model keeps its full K-wide
+/// column and a token of it skips the scatter.  Colder words are cheaper to
+/// scatter over a copy of the base vector than to store densely.
+const HOT_DENSITY: usize = 8;
+
+/// [`WordColumn::len`] of a hot word; its `start` then numbers its dense
+/// column.  A sparse column is shorter than `K / HOT_DENSITY`, so it never
+/// reaches this length.
+const HOT: u32 = u32::MAX;
+
+/// Where one word's weights live in the frozen model.
+#[derive(Debug, Clone, Copy)]
+struct WordColumn {
+    /// First entry of the word's sparse column, or its dense slot if hot.
+    start: u32,
+    /// Non-zero cells of the word, or [`HOT`].
+    len: u32,
+}
+
 /// A frozen LDA model that can answer topic queries for unseen documents.
+///
+/// The smoothed weights `(φ_{k,v} + β) / (n_k + Vβ)` never change during
+/// inference, so they are computed once, in three word-major parts:
+///
+/// * a K-wide base vector `β / (n_k + Vβ)`, the weight of every zero cell;
+/// * for each word with fewer than `K / 8` non-zero cells, its non-zero
+///   `(topic, weight)` pairs in topic order;
+/// * for each other (*hot*) word, its full K-wide weight column.
+///
+/// That is `16·nnz(φ) + 8·K·(hot + 1) + 8·V` bytes at most, where a dense
+/// `K × V` matrix would take `8·K·V`.  Each token of the fold-in chain reads
+/// one contiguous K-wide column, so replies are bit-identical to a walk of
+/// the dense matrix (DESIGN.md §12, "Frozen-model layout").
 pub struct TopicInferencer {
-    /// Smoothed topic–word weights `(φ_{k,v} + β) / (n_k + Vβ)`, precomputed
-    /// once because they never change during inference.
-    phi_weight: DenseMatrix<f64>,
-    num_topics: usize,
-    vocab_size: usize,
+    /// `β / (n_k + Vβ)` per topic.
+    base: Vec<f64>,
+    /// One entry per word of the vocabulary.
+    columns: Vec<WordColumn>,
+    /// The sparse words' non-zero `(topic, weight)` cells, word after word,
+    /// each word's in topic order.
+    entries: Vec<(u32, f64)>,
+    /// The hot words' K-wide weight columns, one after another.
+    dense: Vec<f64>,
     alpha: f64,
 }
 
@@ -197,9 +241,11 @@ impl TopicInferencer {
     ///
     /// Rejects (instead of panicking on) the corrupt-checkpoint shapes that
     /// would otherwise poison inference: φ/`n_k` shape disagreement, `K = 0`,
-    /// non-positive or non-finite priors, and any topic whose smoothing
+    /// non-positive or non-finite priors, any topic whose smoothing
     /// denominator `n_k + Vβ` is non-positive — e.g. a negative `n_k`, which
-    /// would make every weight of that topic NaN or negative.
+    /// would make every weight of that topic NaN or negative — and any
+    /// non-finite weight.  Of several faults, the first in row-major
+    /// `(topic, word)` order is reported.
     pub fn try_new(
         phi: &DenseMatrix<u32>,
         nk: &[i64],
@@ -219,25 +265,88 @@ impl TopicInferencer {
             return Err(InferenceError::InvalidPrior { alpha, beta });
         }
         let (k, v) = (phi.rows(), phi.cols());
-        let mut weight = DenseMatrix::zeros(k, v);
+
+        // Pass 1, row-major: validate every weight in `(topic, word)` order
+        // and count each word's non-zero cells.  A zero cell's weight is the
+        // topic's base weight, bit-equal to `(0.0 + β) / denom`.
+        let mut denoms = Vec::with_capacity(k);
+        let mut base = Vec::with_capacity(k);
+        let mut nnz = vec![0u32; v];
         for topic in 0..k {
             let denom = nk[topic] as f64 + v as f64 * beta;
             if !(denom > 0.0 && denom.is_finite()) {
                 return Err(InferenceError::CorruptTopic { topic, denom });
             }
-            let row = weight.row_mut(topic);
-            for (word, (slot, &c)) in row.iter_mut().zip(phi.row(topic)).enumerate() {
-                let w = (c as f64 + beta) / denom;
-                if !w.is_finite() {
+            let zero_weight = beta / denom;
+            let zero_ok = zero_weight.is_finite();
+            for (word, &c) in phi.row(topic).iter().enumerate() {
+                let ok = if c != 0 {
+                    nnz[word] += 1;
+                    ((c as f64 + beta) / denom).is_finite()
+                } else {
+                    zero_ok
+                };
+                if !ok {
                     return Err(InferenceError::CorruptWeight { topic, word });
                 }
-                *slot = w;
+            }
+            denoms.push(denom);
+            base.push(zero_weight);
+        }
+
+        // Lay the columns out: hot words get a dense slot, the rest a run of
+        // sparse entries.  The input cannot exceed `u32` offsets: that would
+        // take over 2^32 sparse cells, i.e. a φ of more than 2^35 cells.
+        let to_u32 = |n: usize| u32::try_from(n).expect("frozen model offsets fit in u32");
+        let (mut sparse_len, mut hot) = (0usize, 0usize);
+        let mut columns: Vec<WordColumn> = nnz
+            .iter()
+            .map(|&n| {
+                let n = n as usize;
+                if n * HOT_DENSITY >= k {
+                    hot += 1;
+                    WordColumn {
+                        start: to_u32(hot - 1),
+                        len: HOT,
+                    }
+                } else {
+                    sparse_len += n;
+                    WordColumn {
+                        start: to_u32(sparse_len - n),
+                        len: 0,
+                    }
+                }
+            })
+            .collect();
+        drop(nnz);
+
+        // Pass 2, row-major again: write each non-zero weight into its
+        // word's column.  Rows arrive in topic order, so every sparse column
+        // comes out sorted by topic.
+        let mut entries = vec![(0u32, 0.0f64); sparse_len];
+        let mut dense = Vec::with_capacity(hot * k);
+        for _ in 0..hot {
+            dense.extend_from_slice(&base);
+        }
+        for (topic, &denom) in denoms.iter().enumerate() {
+            for (&c, col) in phi.row(topic).iter().zip(&mut columns) {
+                if c == 0 {
+                    continue;
+                }
+                let w = (c as f64 + beta) / denom;
+                if col.len == HOT {
+                    dense[col.start as usize * k + topic] = w;
+                } else {
+                    entries[col.start as usize + col.len as usize] = (topic as u32, w);
+                    col.len += 1;
+                }
             }
         }
         Ok(TopicInferencer {
-            phi_weight: weight,
-            num_topics: k,
-            vocab_size: v,
+            base,
+            columns,
+            entries,
+            dense,
             alpha,
         })
     }
@@ -264,12 +373,68 @@ impl TopicInferencer {
 
     /// Number of topics `K`.
     pub fn num_topics(&self) -> usize {
-        self.num_topics
+        self.base.len()
     }
 
     /// Vocabulary size `V` the model was trained on.
     pub fn vocab_size(&self) -> usize {
-        self.vocab_size
+        self.columns.len()
+    }
+
+    /// Bytes the frozen model holds on the heap.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.base.capacity() * size_of::<f64>()
+            + self.columns.capacity() * size_of::<WordColumn>()
+            + self.entries.capacity() * size_of::<(u32, f64)>()
+            + self.dense.capacity() * size_of::<f64>()
+    }
+
+    /// The K weights `(φ_{k,v} + β) / (n_k + Vβ)` of `word`: a hot word's
+    /// stored column, or else the base vector with the word's non-zero
+    /// weights scattered over it in `scratch`.
+    fn weights<'a>(&'a self, word: usize, scratch: &'a mut [f64]) -> &'a [f64] {
+        let col = self.columns[word];
+        let start = col.start as usize;
+        if col.len == HOT {
+            let k = self.base.len();
+            return &self.dense[start * k..(start + 1) * k];
+        }
+        scratch.copy_from_slice(&self.base);
+        for &(topic, w) in &self.entries[start..start + col.len as usize] {
+            scratch[topic as usize] = w;
+        }
+        scratch
+    }
+
+    /// One fold-in transition: draw a topic for a token of `word` from
+    /// `p(k) ∝ (n_{d,k} + α) · (φ_{k,v} + β) / (n_k + Vβ)`, where
+    /// `doc_counts` holds the document's counts without the token and `u` is
+    /// a uniform draw in `[0, 1)`.  The prefix sums run in topic order and
+    /// the search inverts them at `u · total`.
+    fn draw(
+        &self,
+        word: usize,
+        doc_counts: &[u32],
+        u: f64,
+        scratch: &mut [f64],
+        prefix: &mut [f64],
+    ) -> usize {
+        let weights = self.weights(word, scratch);
+        let mut total = 0.0;
+        for ((p, &n), &w) in prefix.iter_mut().zip(doc_counts).zip(weights) {
+            total += (n as f64 + self.alpha) * w;
+            *p = total;
+        }
+        // `total_cmp` gives a total order over f64, so the search cannot
+        // panic even if a corrupt weight slipped a NaN into the prefix sums
+        // (`try_new` rejects those up front; this is the second line of
+        // defence for the serving path).
+        let target = u * total;
+        match prefix.binary_search_by(|x| x.total_cmp(&target)) {
+            Ok(idx) | Err(idx) => idx.min(prefix.len() - 1),
+        }
     }
 
     /// Infer the topic mixture of a single document given as word ids.
@@ -306,10 +471,10 @@ impl TopicInferencer {
         options: InferenceOptions,
         rng: &mut ChaCha8Rng,
     ) -> DocumentTopics {
-        let k = self.num_topics;
+        let k = self.num_topics();
         let tokens: Vec<usize> = words
             .iter()
-            .filter(|&&w| (w as usize) < self.vocab_size)
+            .filter(|&&w| (w as usize) < self.vocab_size())
             .map(|&w| w as usize)
             .collect();
         let mut doc_counts = vec![0u32; k];
@@ -328,26 +493,12 @@ impl TopicInferencer {
             doc_counts[t] += 1;
         }
 
-        let mut p = vec![0.0f64; k];
+        let mut prefix = vec![0.0f64; k];
+        let mut scratch = vec![0.0f64; k];
         for sweep in 0..options.sweeps {
             for (i, &v) in tokens.iter().enumerate() {
-                let old = z[i];
-                doc_counts[old] -= 1;
-                let mut total = 0.0;
-                for topic in 0..k {
-                    let w = self.phi_weight.get(topic, v);
-                    let val = (doc_counts[topic] as f64 + self.alpha) * w;
-                    total += val;
-                    p[topic] = total;
-                }
-                // `total_cmp` gives a total order over f64, so the search
-                // cannot panic even if a corrupt weight slipped a NaN into
-                // the prefix sums (`try_new` rejects those up front; this is
-                // the second line of defence for the serving path).
-                let u = rng.gen::<f64>() * total;
-                let new = match p.binary_search_by(|x| x.total_cmp(&u)) {
-                    Ok(idx) | Err(idx) => idx.min(k - 1),
-                };
+                doc_counts[z[i]] -= 1;
+                let new = self.draw(v, &doc_counts, rng.gen(), &mut scratch, &mut prefix);
                 z[i] = new;
                 doc_counts[new] += 1;
             }
@@ -384,10 +535,10 @@ impl TopicInferencer {
         options: InferenceOptions,
     ) -> Result<Vec<DocumentTopics>, InferenceError> {
         options.validate().map_err(InferenceError::InvalidOptions)?;
-        if corpus.vocab_size() != self.vocab_size {
+        if corpus.vocab_size() != self.vocab_size() {
             return Err(InferenceError::VocabMismatch {
                 corpus: corpus.vocab_size(),
-                model: self.vocab_size,
+                model: self.vocab_size(),
             });
         }
         // One independent task per document on the thread pool.  Each
@@ -395,14 +546,7 @@ impl TopicInferencer {
         // are identical however the documents land on OS threads.
         Ok((0..corpus.num_docs())
             .into_par_iter()
-            .map(|d| {
-                let mut rng = ChaCha8Rng::seed_from_u64(
-                    options
-                        .seed
-                        .wrapping_add((d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                );
-                self.infer_with_rng(corpus.doc(d), options, &mut rng)
-            })
+            .map(|d| self.infer_with_rng(corpus.doc(d), options, &mut doc_rng(options.seed, d)))
             .collect())
     }
 
@@ -425,7 +569,7 @@ impl TopicInferencer {
     ) -> Result<CsrMatrix, InferenceError> {
         let results = self.try_infer_corpus(corpus, options)?;
         let kept = (options.sweeps - options.burn_in).max(1) as u32;
-        let mut builder = CsrBuilder::new(corpus.num_docs(), self.num_topics);
+        let mut builder = CsrBuilder::new(corpus.num_docs(), self.num_topics());
         for doc in &results {
             let entries: Vec<(u16, u32)> = doc
                 .counts
@@ -448,6 +592,12 @@ impl TopicInferencer {
             Err(e) => panic!("{e}"),
         }
     }
+}
+
+/// The RNG of document `d` in a corpus query: derived from the document's
+/// index, so replies do not depend on how documents land on threads.
+fn doc_rng(seed: u64, d: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed.wrapping_add((d as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 #[cfg(test)]
@@ -562,5 +712,478 @@ mod tests {
         let model = two_topic_model();
         let corpus = CorpusBuilder::new(3).build();
         let _ = model.infer_corpus(&corpus, InferenceOptions::default());
+    }
+
+    /// The dense topic-major model the word-major layout replaced, kept as
+    /// the oracle for bit-identical replies and errors: a `K × V` weight
+    /// matrix walked with a stride of V per token.
+    struct DenseReference {
+        weight: DenseMatrix<f64>,
+        alpha: f64,
+    }
+
+    impl DenseReference {
+        fn try_new(
+            phi: &DenseMatrix<u32>,
+            nk: &[i64],
+            alpha: f64,
+            beta: f64,
+        ) -> Result<Self, InferenceError> {
+            if phi.rows() != nk.len() {
+                return Err(InferenceError::ShapeMismatch {
+                    phi_rows: phi.rows(),
+                    nk_len: nk.len(),
+                });
+            }
+            if phi.rows() == 0 {
+                return Err(InferenceError::NoTopics);
+            }
+            if !(alpha > 0.0 && alpha.is_finite() && beta > 0.0 && beta.is_finite()) {
+                return Err(InferenceError::InvalidPrior { alpha, beta });
+            }
+            let (k, v) = (phi.rows(), phi.cols());
+            let mut weight = DenseMatrix::zeros(k, v);
+            for topic in 0..k {
+                let denom = nk[topic] as f64 + v as f64 * beta;
+                if !(denom > 0.0 && denom.is_finite()) {
+                    return Err(InferenceError::CorruptTopic { topic, denom });
+                }
+                let row = weight.row_mut(topic);
+                for (word, (slot, &c)) in row.iter_mut().zip(phi.row(topic)).enumerate() {
+                    let w = (c as f64 + beta) / denom;
+                    if !w.is_finite() {
+                        return Err(InferenceError::CorruptWeight { topic, word });
+                    }
+                    *slot = w;
+                }
+            }
+            Ok(DenseReference { weight, alpha })
+        }
+
+        fn infer(
+            &self,
+            words: &[WordId],
+            options: InferenceOptions,
+            rng: &mut ChaCha8Rng,
+        ) -> DocumentTopics {
+            let (k, v) = (self.weight.rows(), self.weight.cols());
+            let tokens: Vec<usize> = words
+                .iter()
+                .filter(|&&w| (w as usize) < v)
+                .map(|&w| w as usize)
+                .collect();
+            let mut doc_counts = vec![0u32; k];
+            let mut accumulated = vec![0u32; k];
+            if tokens.is_empty() {
+                return DocumentTopics {
+                    counts: accumulated,
+                    mixture: vec![1.0 / k as f64; k],
+                };
+            }
+            let mut z: Vec<usize> = tokens.iter().map(|_| rng.gen_range(0..k)).collect();
+            for &t in &z {
+                doc_counts[t] += 1;
+            }
+            let mut p = vec![0.0f64; k];
+            for sweep in 0..options.sweeps {
+                for (i, &v) in tokens.iter().enumerate() {
+                    doc_counts[z[i]] -= 1;
+                    let mut total = 0.0;
+                    for topic in 0..k {
+                        let w = self.weight.get(topic, v);
+                        let val = (doc_counts[topic] as f64 + self.alpha) * w;
+                        total += val;
+                        p[topic] = total;
+                    }
+                    let u = rng.gen::<f64>() * total;
+                    let new = match p.binary_search_by(|x| x.total_cmp(&u)) {
+                        Ok(idx) | Err(idx) => idx.min(k - 1),
+                    };
+                    z[i] = new;
+                    doc_counts[new] += 1;
+                }
+                if sweep >= options.burn_in {
+                    for (acc, &c) in accumulated.iter_mut().zip(&doc_counts) {
+                        *acc += c;
+                    }
+                }
+            }
+            let kept_sweeps = (options.sweeps - options.burn_in) as f64;
+            let denom = tokens.len() as f64 + k as f64 * self.alpha;
+            let mixture: Vec<f64> = accumulated
+                .iter()
+                .map(|&c| (c as f64 / kept_sweeps + self.alpha) / denom)
+                .collect();
+            let s: f64 = mixture.iter().sum();
+            DocumentTopics {
+                counts: accumulated,
+                mixture: mixture.into_iter().map(|x| x / s).collect(),
+            }
+        }
+    }
+
+    fn topic_totals(phi: &DenseMatrix<u32>) -> Vec<i64> {
+        (0..phi.rows())
+            .map(|t| phi.row(t).iter().map(|&c| c as i64).sum())
+            .collect()
+    }
+
+    /// A random `K × V` count matrix whose columns cover every layout the
+    /// frozen model tells apart: all-zero words, words one non-zero short
+    /// of the hot rule and exactly at it, fully dense words, random
+    /// densities, and word 5, whose only non-zeros are topics 0 and K − 1.
+    fn random_counts(k: usize, v: usize, seed: u64) -> (DenseMatrix<u32>, Vec<i64>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let edge = k.div_ceil(HOT_DENSITY);
+        let mut phi = DenseMatrix::zeros(k, v);
+        let mut topics: Vec<usize> = (0..k).collect();
+        for word in 0..v {
+            let nnz = match word % 6 {
+                _ if word == 5 => 0,
+                0 => 0,
+                1 => edge - 1,
+                2 => edge,
+                3 => k,
+                _ => rng.gen_range(0..k + 1),
+            };
+            for i in 0..nnz {
+                let j = rng.gen_range(i..k);
+                topics.swap(i, j);
+                phi.set(topics[i], word, rng.gen_range(1..50u32));
+            }
+        }
+        phi.set(0, 5, 7);
+        phi.set(k - 1, 5, 3);
+        let nk = topic_totals(&phi);
+        (phi, nk)
+    }
+
+    fn assert_same_reply(got: &DocumentTopics, want: &DocumentTopics) {
+        let bits = |d: &DocumentTopics| d.mixture.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.counts, want.counts);
+        assert_eq!(bits(got), bits(want));
+    }
+
+    #[test]
+    fn replies_are_bit_identical_to_the_dense_topic_major_model() {
+        let v = 40;
+        let opts = InferenceOptions {
+            sweeps: 8,
+            burn_in: 2,
+            seed: 99,
+        };
+        for (i, &k) in [1usize, 2, 8, 96, 512].iter().enumerate() {
+            let (phi, nk) = random_counts(k, v, 11 + i as u64);
+            let model = TopicInferencer::try_new(&phi, &nk, 0.1, 0.01).unwrap();
+            let reference = DenseReference::try_new(&phi, &nk, 0.1, 0.01).unwrap();
+            let hot = |w: usize| model.columns[w].len == HOT;
+            // Word 1 sits one non-zero below the hot rule, word 2 on it.
+            assert!(!hot(0) && !hot(1) && hot(2) && hot(3), "K = {k}");
+            if k > 16 {
+                // Word 5 is sparse with non-zeros at both ends of the column,
+                // and word 1 is sparse with non-zeros of its own.
+                assert!(!hot(5) && model.columns[5].len == 2);
+                assert!(model.columns[1].len > 0);
+            }
+
+            let mut rng = ChaCha8Rng::seed_from_u64(k as u64);
+            let oov = v as WordId;
+            let mut docs: Vec<Vec<WordId>> = vec![
+                vec![],
+                vec![oov, oov + 7],
+                vec![2, 2, 2, 3, 3, oov, 4, 4, 0],
+                // Consecutive tokens of two sparse words with different
+                // non-zeros: the scratch column must carry nothing over.
+                vec![1, 5, 1, 5, 0, 5],
+            ];
+            docs.extend((0..6).map(|_| {
+                let len = rng.gen_range(1..40);
+                (0..len)
+                    .map(|_| rng.gen_range(0..v as WordId + 3))
+                    .collect()
+            }));
+            for doc in &docs {
+                let got = model.try_infer_document(doc, opts).unwrap();
+                let want = reference.infer(doc, opts, &mut ChaCha8Rng::seed_from_u64(opts.seed));
+                assert_same_reply(&got, &want);
+            }
+
+            let mut b = CorpusBuilder::new(v);
+            for doc in &docs {
+                let in_vocab: Vec<WordId> =
+                    doc.iter().copied().filter(|&w| (w as usize) < v).collect();
+                b.push_doc(&in_vocab);
+            }
+            let corpus = b.build();
+            let got = model.try_infer_corpus(&corpus, opts).unwrap();
+            assert_eq!(got.len(), corpus.num_docs());
+            for (d, reply) in got.iter().enumerate() {
+                let want = reference.infer(corpus.doc(d), opts, &mut doc_rng(opts.seed, d));
+                assert_same_reply(reply, &want);
+            }
+        }
+    }
+
+    /// Builds both models from the same input and checks they fail alike
+    /// (compared through `Debug`, so a NaN field compares too); returns the
+    /// error.
+    fn same_error(
+        phi: &DenseMatrix<u32>,
+        nk: &[i64],
+        alpha: f64,
+        beta: f64,
+    ) -> Option<InferenceError> {
+        let got = TopicInferencer::try_new(phi, nk, alpha, beta).err();
+        let want = DenseReference::try_new(phi, nk, alpha, beta).err();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        got
+    }
+
+    #[test]
+    fn errors_match_the_dense_topic_major_model() {
+        let (phi, nk) = random_counts(8, 12, 3);
+
+        let mut negative = nk.clone();
+        negative[2] = -1_000_000;
+        assert!(matches!(
+            same_error(&phi, &negative, 0.1, 0.01),
+            Some(InferenceError::CorruptTopic { topic: 2, .. })
+        ));
+        assert!(matches!(
+            same_error(&phi, &nk[..7], 0.1, 0.01),
+            Some(InferenceError::ShapeMismatch { .. })
+        ));
+        assert_eq!(
+            same_error(&DenseMatrix::zeros(0, 5), &[], 0.1, 0.01),
+            Some(InferenceError::NoTopics)
+        );
+        for (alpha, beta) in [
+            (0.0, 0.01),
+            (0.1, -1.0),
+            (f64::NAN, 0.01),
+            (0.1, f64::INFINITY),
+        ] {
+            assert!(matches!(
+                same_error(&phi, &nk, alpha, beta),
+                Some(InferenceError::InvalidPrior { .. })
+            ));
+        }
+        // A huge β overflows Vβ itself.
+        assert!(matches!(
+            same_error(&phi, &nk, 0.1, 1e308),
+            Some(InferenceError::CorruptTopic { topic: 0, .. })
+        ));
+
+        // A subnormal β over a zero n_k leaves a subnormal denominator: the
+        // base weight β / denom = 1/V stays finite while every non-zero cell
+        // (c + β) / denom overflows.  The first non-zero in row-major order
+        // is reported, even ahead of a later topic's negative n_k.
+        let beta = 1e-310;
+        let mut phi = DenseMatrix::zeros(4, 5);
+        phi.set(0, 1, 4);
+        phi.set(2, 3, 6);
+        phi.set(2, 4, 1);
+        phi.set(3, 0, 2);
+        let nk = vec![1_000, 0, 0, -5];
+        assert_eq!(
+            same_error(&phi, &nk, 0.1, beta),
+            Some(InferenceError::CorruptWeight { topic: 2, word: 3 })
+        );
+        // With no non-zero under the subnormal denominators the model is
+        // valid, and the weights of those topics are 1/V and tiny.
+        phi.set(2, 3, 0);
+        phi.set(2, 4, 0);
+        let nk = vec![1_000, 0, 0, 2];
+        assert_eq!(same_error(&phi, &nk, 0.1, beta), None);
+
+        // The reverse: a base weight that underflows to zero beside normal
+        // non-zero weights is still a valid model, and replies still match.
+        // (A base weight can never overflow where a non-zero weight stays
+        // finite: division is monotone and c + β ≥ β.)
+        let beta = 5e-324;
+        let nk = vec![1_i64 << 52; 4];
+        assert_eq!(same_error(&phi, &nk, 0.1, beta), None);
+        let model = TopicInferencer::try_new(&phi, &nk, 0.1, beta).unwrap();
+        assert!(model.base.iter().all(|&b| b == 0.0));
+        let reference = DenseReference::try_new(&phi, &nk, 0.1, beta).unwrap();
+        let opts = InferenceOptions::default();
+        for doc in [vec![0, 1, 2, 1, 4, 0], vec![2, 4]] {
+            let got = model.try_infer_document(&doc, opts).unwrap();
+            let want = reference.infer(&doc, opts, &mut ChaCha8Rng::seed_from_u64(opts.seed));
+            assert_same_reply(&got, &want);
+        }
+    }
+
+    #[test]
+    fn frozen_model_memory_is_bounded_by_its_non_zeros() {
+        let v = 60;
+        for &k in &[1usize, 8, 96, 512] {
+            let (phi, nk) = random_counts(k, v, 5);
+            let model = TopicInferencer::try_new(&phi, &nk, 0.1, 0.01).unwrap();
+            let nnz = phi.as_slice().iter().filter(|&&c| c != 0).count();
+            let hot = model.dense.len() / k;
+            let bound = 16 * nnz + 8 * k * (hot + 1) + 8 * (v + 1);
+            assert!(
+                model.heap_bytes() <= bound,
+                "K = {k}: {} > {bound}",
+                model.heap_bytes()
+            );
+        }
+        // One non-zero per word: a small fraction of the dense K × V matrix.
+        let (k, v) = (512, 2_000);
+        let mut phi = DenseMatrix::zeros(k, v);
+        for w in 0..v {
+            phi.set(w % k, w, 3);
+        }
+        let model = TopicInferencer::try_new(&phi, &topic_totals(&phi), 0.1, 0.01).unwrap();
+        assert!(model.dense.is_empty());
+        assert!(model.heap_bytes() * 100 < 8 * k * v);
+    }
+
+    /// `P(χ²_df ≥ stat)`: the regularized upper incomplete gamma function
+    /// `Q(df/2, stat/2)`, by its series below `a + 1` and its continued
+    /// fraction (modified Lentz) above.
+    fn chi_square_survival(stat: f64, df: usize) -> f64 {
+        use culda_metrics::special::ln_gamma;
+        let (a, x) = (df as f64 / 2.0, stat / 2.0);
+        if x <= 0.0 {
+            return 1.0;
+        }
+        let scale = (a * x.ln() - x - ln_gamma(a)).exp();
+        if x < a + 1.0 {
+            let (mut n, mut term) = (a, 1.0 / a);
+            let mut sum = term;
+            while term > sum * 1e-16 {
+                n += 1.0;
+                term *= x / n;
+                sum += term;
+            }
+            1.0 - sum * scale
+        } else {
+            let tiny = 1e-300;
+            let mut b = x + 1.0 - a;
+            let mut c = 1.0 / tiny;
+            let mut d = 1.0 / b;
+            let mut h = d;
+            for i in 1..10_000 {
+                let an = -(i as f64) * (i as f64 - a);
+                b += 2.0;
+                d = an * d + b;
+                if d.abs() < tiny {
+                    d = tiny;
+                }
+                c = b + an / c;
+                if c.abs() < tiny {
+                    c = tiny;
+                }
+                d = 1.0 / d;
+                let step = d * c;
+                h *= step;
+                if (step - 1.0).abs() < 1e-16 {
+                    break;
+                }
+            }
+            scale * h
+        }
+    }
+
+    #[test]
+    fn chi_square_survival_matches_closed_forms() {
+        // For even df = 2m, Q = e^{-x/2} Σ_{i<m} (x/2)^i / i!.
+        for df in [2usize, 10, 24, 40] {
+            for x in [0.5, 3.0, 20.0, 35.564, 80.0] {
+                let (mut term, mut sum) = (1.0, 0.0);
+                for i in 0..df / 2 {
+                    sum += term;
+                    term *= x / 2.0 / (i + 1) as f64;
+                }
+                let exact = (-x / 2.0).exp() * sum;
+                let got = chi_square_survival(x, df);
+                assert!(
+                    (got - exact).abs() < 1e-10 * exact.max(1e-3),
+                    "df {df}, x {x}"
+                );
+            }
+        }
+        // The 1e-4 critical value of χ² with 10 degrees of freedom.
+        assert!((chi_square_survival(35.564, 10) - 1e-4).abs() < 1e-6);
+        // Odd df through Q(a + 1, x) = Q(a, x) + x^a e^{-x} / Γ(a + 1).
+        for df in [1usize, 7, 23] {
+            for x in [0.5f64, 9.0, 60.0] {
+                let (a, h) = (df as f64 / 2.0, x / 2.0);
+                let step = (a * h.ln() - h - culda_metrics::special::ln_gamma(a + 1.0)).exp();
+                let (lo, hi) = (chi_square_survival(x, df), chi_square_survival(x, df + 2));
+                assert!(
+                    (hi - lo - step).abs() < 1e-10 * hi.max(1e-3),
+                    "df {df}, x {x}"
+                );
+            }
+        }
+    }
+
+    /// Pearson's χ² of observed `counts` against `probs`, pooling the cells
+    /// expected fewer than 5 times into one; returns the p-value.
+    fn chi_square_p_value(counts: &[u64], probs: &[f64]) -> f64 {
+        let n = counts.iter().sum::<u64>() as f64;
+        let (mut stat, mut cells) = (0.0, 0);
+        let (mut pooled_obs, mut pooled_exp) = (0.0, 0.0);
+        for (&o, &p) in counts.iter().zip(probs) {
+            let e = p * n;
+            if e < 5.0 {
+                pooled_obs += o as f64;
+                pooled_exp += e;
+            } else {
+                stat += (o as f64 - e).powi(2) / e;
+                cells += 1;
+            }
+        }
+        if pooled_exp > 0.0 {
+            stat += (pooled_obs - pooled_exp).powi(2) / pooled_exp;
+            cells += 1;
+        }
+        chi_square_survival(stat, cells - 1)
+    }
+
+    #[test]
+    fn each_draw_follows_the_exact_fold_in_conditional() {
+        const DRAWS: usize = 200_000;
+        let (k, v) = (24usize, 5usize);
+        let (alpha, beta) = (0.1, 0.05);
+        let mut phi = DenseMatrix::zeros(k, v);
+        // Word 0 is hot (a non-zero in every other topic), word 1 sparse
+        // (two non-zeros); words 2–4 carry the rest of each topic's mass.
+        for t in (0..k).step_by(2) {
+            phi.set(t, 0, 1 + (t as u32 * 7) % 13);
+        }
+        phi.set(3, 1, 9);
+        phi.set(17, 1, 2);
+        for t in 0..k {
+            phi.set(t, 2 + t % 3, 20 + t as u32);
+        }
+        let nk = topic_totals(&phi);
+        let model = TopicInferencer::try_new(&phi, &nk, alpha, beta).unwrap();
+        assert_eq!(model.columns[0].len, HOT);
+        assert_eq!(model.columns[1].len, 2);
+        // The document's counts without the token; four topics are empty,
+        // so the draw law depends on α.
+        let doc_counts: Vec<u32> = (0..k as u32).map(|t| (t * 5) % 7).collect();
+        let (mut scratch, mut prefix) = (vec![0.0; k], vec![0.0; k]);
+        for (word, seed) in [(0usize, 21u64), (1, 22)] {
+            let exact: Vec<f64> = (0..k)
+                .map(|t| {
+                    (doc_counts[t] as f64 + alpha) * (phi.get(t, word) as f64 + beta)
+                        / (nk[t] as f64 + v as f64 * beta)
+                })
+                .collect();
+            let norm: f64 = exact.iter().sum();
+            let probs: Vec<f64> = exact.iter().map(|p| p / norm).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut hist = vec![0u64; k];
+            for _ in 0..DRAWS {
+                hist[model.draw(word, &doc_counts, rng.gen(), &mut scratch, &mut prefix)] += 1;
+            }
+            let p = chi_square_p_value(&hist, &probs);
+            assert!(p > 1e-4, "word {word}: p = {p:e}, counts {hist:?}");
+        }
     }
 }

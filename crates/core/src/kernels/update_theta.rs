@@ -61,11 +61,14 @@ impl<'a> UpdateThetaKernel<'a> {
     /// Assemble the per-block outputs into the chunk's θ replica.
     /// Call after the launch completes.
     pub fn finish(self) {
-        let docs = self.state.layout.num_docs();
-        let k = self.state.num_topics();
-        let mut builder = CsrBuilder::new(docs, k);
-        builder.reserve_nnz(self.state.layout.num_tokens().min(docs * k));
-        for block in self.rows.into_iter().filter_map(Mutex::into_inner) {
+        let blocks: Vec<CsrMatrix> = self
+            .rows
+            .into_iter()
+            .filter_map(Mutex::into_inner)
+            .collect();
+        let mut builder = CsrBuilder::new(self.state.layout.num_docs(), self.state.num_topics());
+        builder.reserve_nnz(blocks.iter().map(CsrMatrix::nnz).sum());
+        for block in blocks {
             for d in 0..block.rows() {
                 let (cols, vals) = block.row(d);
                 builder.push_sorted_row(cols, vals);
@@ -99,7 +102,11 @@ impl BlockKernel for UpdateThetaKernel<'_> {
                     .map(|&p| state.z[p as usize].load(Ordering::Relaxed)),
             );
         }
-        let block = builder.finish();
+        // The reservation bounds the block's non-zeros by its tokens; give
+        // back what the rows did not use before the block waits for
+        // `finish`.
+        let mut block = builder.finish();
+        block.shrink_to_fit();
 
         // Per document, the modelled kernel (1) reads the document–word map
         // entry and the topic of every token and scatters it with one

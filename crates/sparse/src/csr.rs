@@ -79,6 +79,13 @@ impl CsrMatrix {
         self.cols
     }
 
+    /// Release any capacity beyond the stored entries.
+    pub fn shrink_to_fit(&mut self) {
+        self.row_ptr.shrink_to_fit();
+        self.col_idx.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
     /// Total number of stored (non-zero) entries.
     #[inline]
     pub fn nnz(&self) -> usize {
@@ -386,6 +393,25 @@ mod tests {
                 vec![(6, 1)],
             ],
         )
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_the_matrix() {
+        let mut b = CsrBuilder::new(4, 8);
+        b.reserve_nnz(1_000);
+        for row in [
+            vec![(1, 3), (4, 1)],
+            vec![],
+            vec![(0, 2), (7, 5), (3, 1)],
+            vec![(6, 1)],
+        ] {
+            b.push_row(row);
+        }
+        let mut m = b.finish();
+        m.shrink_to_fit();
+        assert_eq!(m, sample());
+        assert_eq!(m.col_idx.capacity(), m.nnz());
+        assert_eq!(m.values.capacity(), m.nnz());
     }
 
     #[test]
