@@ -7,8 +7,8 @@
 use crate::args::{ArgError, ParsedArgs};
 use crate::CliError;
 use culda_core::{
-    CuLdaTrainer, InferenceOptions, LdaConfig, ModelCheckpoint, SamplerStrategy, SessionBuilder,
-    StreamingSession, TopicInferencer,
+    CuLdaTrainer, DocumentTopics, InferenceOptions, LdaConfig, ModelCheckpoint, SamplerStrategy,
+    SessionBuilder, StreamingSession, TopicInferencer,
 };
 use culda_corpus::{holdout::DocumentCompletion, Corpus, CorpusStats, DatasetProfile, Document};
 use culda_gpusim::{ClusterSystem, DeviceSpec, Interconnect, MultiGpuSystem};
@@ -1047,6 +1047,7 @@ pub fn infer(args: &ParsedArgs) -> Result<String, CliError> {
             if results.len() > 20 {
                 writeln!(out, "... ({} more documents)", results.len() - 20).unwrap();
             }
+            writeln!(out, "replies digest: {:016x}", replies_digest(&results)).unwrap();
         }
         (None, None) => {
             return Err(CliError::Usage(
@@ -1055,6 +1056,28 @@ pub fn infer(args: &ParsedArgs) -> Result<String, CliError> {
         }
     }
     Ok(out)
+}
+
+/// 64-bit FNV-1a over every reply in order: its `counts` as `u32` LE, then
+/// its `mixture` as `f64` bits in `u64` LE.  Equal digests mean equal
+/// replies to the bit, which the rendered top topics do not show.
+fn replies_digest(replies: &[DocumentTopics]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut absorb = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for reply in replies {
+        for &c in &reply.counts {
+            absorb(&c.to_le_bytes());
+        }
+        for &p in &reply.mixture {
+            absorb(&p.to_bits().to_le_bytes());
+        }
+    }
+    h
 }
 
 /// `eval` — held-out perplexity of a saved model on a test corpus under the

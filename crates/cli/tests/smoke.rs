@@ -638,3 +638,87 @@ fn help_and_bad_usage_exit_codes() {
         .assert()
         .code(1);
 }
+
+#[test]
+fn infer_corpus_replies_digest_is_thread_invariant() {
+    let dir = std::env::temp_dir().join(format!(
+        "culda-cli-digest-smoke-{}-{}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = dir.join("corpus.cldc");
+    let heldout = dir.join("heldout.cldc");
+    let model = dir.join("model.cldm");
+
+    // A held-out corpus of the training profile and size shares its
+    // vocabulary, under another seed.
+    for (path, seed) in [(&corpus, "11"), (&heldout, "99")] {
+        cli()
+            .args([
+                "gen-corpus",
+                "--profile",
+                "nytimes",
+                "--tokens",
+                "4000",
+                "--seed",
+                seed,
+                "--out",
+                path.to_str().unwrap(),
+            ])
+            .assert()
+            .success();
+    }
+    cli()
+        .args([
+            "train",
+            "--corpus",
+            corpus.to_str().unwrap(),
+            "--topics",
+            "8",
+            "--iterations",
+            "3",
+            "--seed",
+            "11",
+            "--save-model",
+            model.to_str().unwrap(),
+        ])
+        .assert()
+        .success();
+
+    // Every reply's counts and mixture bits go into the digest, so equal
+    // lines mean bit-identical replies at both pool widths.
+    let digest = |threads: &str| -> String {
+        let out = cli()
+            .env("CULDA_NUM_THREADS", threads)
+            .args([
+                "infer",
+                "--model",
+                model.to_str().unwrap(),
+                "--corpus",
+                heldout.to_str().unwrap(),
+            ])
+            .assert()
+            .success()
+            .stdout_contains("replies digest: ")
+            .get_output()
+            .stdout
+            .clone();
+        let out = String::from_utf8(out).unwrap();
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("replies digest: "))
+            .unwrap()
+            .to_string();
+        let hex = line.trim_start_matches("replies digest: ");
+        assert_eq!(hex.len(), 16, "{line}");
+        assert!(hex.bytes().all(|b| b.is_ascii_hexdigit()), "{line}");
+        line
+    };
+    assert_eq!(digest("1"), digest("4"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -83,7 +83,6 @@ impl AliasHybridSampler {
         state: &ChunkState,
         config: &LdaConfig,
     ) {
-        let k = config.num_topics;
         let beta = config.beta;
         let v_beta = beta * state.layout.vocab_size as f64;
         let snap = set.snapshot();
@@ -91,11 +90,10 @@ impl AliasHybridSampler {
             let v = w as usize;
             set.get_or_build(v, || {
                 StaleAliasProposal::from_weights(
-                    (0..k)
-                        .map(|kk| {
-                            (snap.phi_hat.get(kk, v) as f64 + beta)
-                                / (snap.nk_hat[kk] as f64 + v_beta)
-                        })
+                    snap.dense_column(v)
+                        .iter()
+                        .zip(&snap.nk_hat)
+                        .map(|(&phi_kv, &nk)| (phi_kv as f64 + beta) / (nk as f64 + v_beta))
                         .collect(),
                 )
             });
@@ -167,7 +165,7 @@ impl SamplerKernel for AliasHybridSampler {
             .current()
             .map(|s| SamplerResumeState::AliasTables {
                 built_at: s.built_at,
-                phi_hat: s.snapshot().phi_hat.clone(),
+                phi_hat: s.snapshot().to_dense(),
                 nk_hat: s.snapshot().nk_hat.clone(),
             })
     }
@@ -185,8 +183,7 @@ impl SamplerKernel for AliasHybridSampler {
             nk_hat,
         } = state
         {
-            self.tables
-                .restore(*built_at, phi_hat.clone(), nk_hat.clone());
+            self.tables.restore(*built_at, phi_hat, nk_hat.clone());
         }
     }
 

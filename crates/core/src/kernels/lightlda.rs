@@ -218,13 +218,11 @@ impl LightLdaSampler {
         state: &ChunkState,
         config: &LdaConfig,
     ) {
-        let k = config.num_topics;
-        let phi_hat = &set.snapshot().phi_hat;
+        let snap = set.snapshot();
         for w in chunk_words(&state.layout) {
             let v = w as usize;
             set.get_or_build(v, || {
-                let counts: Vec<u32> = (0..k).map(|kk| phi_hat.get(kk, v)).collect();
-                WordProposal::build(&counts, config.beta, self.prune_below)
+                WordProposal::build(&snap.dense_column(v), config.beta, self.prune_below)
             });
         }
     }
@@ -295,7 +293,7 @@ impl SamplerKernel for LightLdaSampler {
             .current()
             .map(|s| SamplerResumeState::LightWordTables {
                 built_at: s.built_at,
-                phi_hat: s.snapshot().phi_hat.clone(),
+                phi_hat: s.snapshot().to_dense(),
             })
     }
 
@@ -307,7 +305,7 @@ impl SamplerKernel for LightLdaSampler {
         // States captured by other portfolio members are ignored (checkpoint
         // validation rejects such mismatches before they get here anyway).
         if let SamplerResumeState::LightWordTables { built_at, phi_hat } = state {
-            self.tables.restore(*built_at, phi_hat.clone(), Vec::new());
+            self.tables.restore(*built_at, phi_hat, Vec::new());
         }
     }
 

@@ -55,7 +55,9 @@ pub const BURN_STREAM_BASE: u64 = u64::MAX - 2;
 /// resume and diverge from the uninterrupted run until the next rebuild.
 /// [`SamplerKernel::resume_state`] captures the inputs needed to reconstruct
 /// that state exactly, and [`SamplerKernel::restore_resume_state`] replays
-/// them into a freshly built sampler.
+/// them into a freshly built sampler.  Its `phi_hat` is the dense `K × V`
+/// form the checkpoint stores; the MH samplers keep φ̂ as sparse word
+/// columns and make the dense form only for this state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SamplerResumeState {
     /// The global snapshot the alias hybrid's stale tables were last built
