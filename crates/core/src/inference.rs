@@ -32,10 +32,12 @@
 use crate::config::LdaConfig;
 use crate::trainer::CuLdaTrainer;
 use culda_corpus::{Corpus, WordId};
-use culda_sparse::{CsrBuilder, CsrMatrix, DenseMatrix};
+use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix, DenseMatrix};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::atomic::Ordering;
 
 /// Why a model cannot be frozen for inference, or a query cannot be answered.
 ///
@@ -198,6 +200,13 @@ const HOT_DENSITY: usize = 8;
 /// reaches this length.
 const HOT: u32 = u32::MAX;
 
+/// Words per strip of the freeze's column pass.  Transposing a row-major φ
+/// stores a row's cells `K` counts apart, and at `K = 512` those 2 KiB
+/// strides fall into two L1 sets: 16 lines fit them, 64 thrash.  On a
+/// 2-core host a tail-shaped φ (K = 512, V = 20k) transposed in 19 ms
+/// with 16-word strips and in 50 ms with 64-word ones.
+const STRIP: usize = 16;
+
 /// Where one word's weights live in the frozen model.
 #[derive(Debug, Clone, Copy)]
 struct WordColumn {
@@ -252,96 +261,142 @@ impl TopicInferencer {
         alpha: f64,
         beta: f64,
     ) -> Result<Self, InferenceError> {
-        if phi.rows() != nk.len() {
+        // The column pass reads strips of word columns: transpose each one
+        // from a short run of every row, so no `K × V` copy is made.
+        let k = phi.rows();
+        Self::from_word_columns(k, phi.cols(), nk, alpha, beta, |words, strip| {
+            for topic in 0..k {
+                for (i, &c) in phi.row(topic)[words.clone()].iter().enumerate() {
+                    strip[i * k + topic] = c;
+                }
+            }
+        })
+    }
+
+    /// [`TopicInferencer::try_new`] over word-major φ, the layout of the
+    /// trainer's shared counts and of a streaming session's: the same
+    /// frozen model, and the same [`InferenceError`] for the same fault.
+    pub fn try_from_columns(
+        phi: &AtomicMatrix,
+        nk: &[i64],
+        alpha: f64,
+        beta: f64,
+    ) -> Result<Self, InferenceError> {
+        let k = phi.rows();
+        Self::from_word_columns(k, phi.cols(), nk, alpha, beta, |words, strip| {
+            for (word, out) in words.zip(strip.chunks_exact_mut(k)) {
+                for (dst, src) in out.iter_mut().zip(phi.column(word)) {
+                    *dst = src.load(Ordering::Relaxed);
+                }
+            }
+        })
+    }
+
+    /// The one pass behind every constructor: `fill(words, strip)` writes
+    /// the `num_topics` counts of each word of `words` (at most [`STRIP`]
+    /// of them, in order) to `strip`, one column after another, and each
+    /// word's column is read once, checked and laid out.
+    ///
+    /// The error is the first fault in row-major `(topic, word)` order, a
+    /// topic's corrupt denominator ahead of its cells.  Walking words, the
+    /// pass finds it by checking a word's cells only at the topics below
+    /// the least faulty topic found so far.
+    fn from_word_columns(
+        num_topics: usize,
+        vocab: usize,
+        nk: &[i64],
+        alpha: f64,
+        beta: f64,
+        mut fill: impl FnMut(Range<usize>, &mut [u32]),
+    ) -> Result<Self, InferenceError> {
+        if num_topics != nk.len() {
             return Err(InferenceError::ShapeMismatch {
-                phi_rows: phi.rows(),
+                phi_rows: num_topics,
                 nk_len: nk.len(),
             });
         }
-        if phi.rows() == 0 {
+        if num_topics == 0 {
             return Err(InferenceError::NoTopics);
         }
         if !(alpha > 0.0 && alpha.is_finite() && beta > 0.0 && beta.is_finite()) {
             return Err(InferenceError::InvalidPrior { alpha, beta });
         }
-        let (k, v) = (phi.rows(), phi.cols());
+        let k = num_topics;
 
-        // Pass 1, row-major: validate every weight in `(topic, word)` order
-        // and count each word's non-zero cells.  A zero cell's weight is the
-        // topic's base weight, bit-equal to `(0.0 + β) / denom`.
+        // Denominators in topic order, up to the first corrupt one: the
+        // row-major scan reaches no cell of that topic or a later one.  A
+        // zero cell's weight is the topic's base weight `β / denom`, always
+        // finite: a positive finite `n_k + Vβ` is at least β, or, for a
+        // negative `n_k`, above an ulp of `Vβ > 1`.
         let mut denoms = Vec::with_capacity(k);
-        let mut base = Vec::with_capacity(k);
-        let mut nnz = vec![0u32; v];
-        for topic in 0..k {
-            let denom = nk[topic] as f64 + v as f64 * beta;
+        let mut corrupt_topic = None;
+        for (topic, &n) in nk.iter().enumerate() {
+            let denom = n as f64 + vocab as f64 * beta;
             if !(denom > 0.0 && denom.is_finite()) {
-                return Err(InferenceError::CorruptTopic { topic, denom });
-            }
-            let zero_weight = beta / denom;
-            let zero_ok = zero_weight.is_finite();
-            for (word, &c) in phi.row(topic).iter().enumerate() {
-                let ok = if c != 0 {
-                    nnz[word] += 1;
-                    ((c as f64 + beta) / denom).is_finite()
-                } else {
-                    zero_ok
-                };
-                if !ok {
-                    return Err(InferenceError::CorruptWeight { topic, word });
-                }
+                corrupt_topic = Some(InferenceError::CorruptTopic { topic, denom });
+                break;
             }
             denoms.push(denom);
-            base.push(zero_weight);
         }
+        let base: Vec<f64> = denoms.iter().map(|&denom| beta / denom).collect();
 
-        // Lay the columns out: hot words get a dense slot, the rest a run of
-        // sparse entries.  The input cannot exceed `u32` offsets: that would
-        // take over 2^32 sparse cells, i.e. a φ of more than 2^35 cells.
+        // Non-zero cells are checked at topics below `limit`: the least
+        // topic of a faulty cell found so far, or of a corrupt denominator.
+        // A later word's fault at a lower topic comes first in row-major
+        // order.  Hot words get a dense slot, the rest a run of sparse
+        // entries, in topic order.
+        let mut limit = denoms.len();
+        let mut corrupt_cell = None;
+        let mut strip = vec![0u32; k * STRIP.min(vocab)];
+        let mut cells: Vec<(u32, f64)> = Vec::new();
+        let mut columns = Vec::with_capacity(vocab);
+        let (mut entries, mut dense) = (Vec::new(), Vec::new());
         let to_u32 = |n: usize| u32::try_from(n).expect("frozen model offsets fit in u32");
-        let (mut sparse_len, mut hot) = (0usize, 0usize);
-        let mut columns: Vec<WordColumn> = nnz
-            .iter()
-            .map(|&n| {
-                let n = n as usize;
-                if n * HOT_DENSITY >= k {
-                    hot += 1;
-                    WordColumn {
-                        start: to_u32(hot - 1),
-                        len: HOT,
+        for w0 in (0..vocab).step_by(STRIP) {
+            let words = w0..(w0 + STRIP).min(vocab);
+            let strip = &mut strip[..words.len() * k];
+            fill(words.clone(), strip);
+            for (word, counts) in words.zip(strip.chunks_exact(k)) {
+                cells.clear();
+                for (topic, &c) in counts[..limit].iter().enumerate() {
+                    if c == 0 {
+                        continue;
                     }
-                } else {
-                    sparse_len += n;
-                    WordColumn {
-                        start: to_u32(sparse_len - n),
-                        len: 0,
+                    let w = (c as f64 + beta) / denoms[topic];
+                    if !w.is_finite() {
+                        corrupt_cell = Some(InferenceError::CorruptWeight { topic, word });
+                        limit = topic;
+                        break;
                     }
+                    cells.push((topic as u32, w));
                 }
-            })
-            .collect();
-        drop(nnz);
-
-        // Pass 2, row-major again: write each non-zero weight into its
-        // word's column.  Rows arrive in topic order, so every sparse column
-        // comes out sorted by topic.
-        let mut entries = vec![(0u32, 0.0f64); sparse_len];
-        let mut dense = Vec::with_capacity(hot * k);
-        for _ in 0..hot {
-            dense.extend_from_slice(&base);
-        }
-        for (topic, &denom) in denoms.iter().enumerate() {
-            for (&c, col) in phi.row(topic).iter().zip(&mut columns) {
-                if c == 0 {
+                if corrupt_cell.is_some() || corrupt_topic.is_some() {
                     continue;
                 }
-                let w = (c as f64 + beta) / denom;
-                if col.len == HOT {
-                    dense[col.start as usize * k + topic] = w;
+                if cells.len() * HOT_DENSITY >= k {
+                    columns.push(WordColumn {
+                        start: to_u32(dense.len() / k),
+                        len: HOT,
+                    });
+                    let start = dense.len();
+                    dense.extend_from_slice(&base);
+                    for &(topic, w) in &cells {
+                        dense[start + topic as usize] = w;
+                    }
                 } else {
-                    entries[col.start as usize + col.len as usize] = (topic as u32, w);
-                    col.len += 1;
+                    columns.push(WordColumn {
+                        start: to_u32(entries.len()),
+                        len: to_u32(cells.len()),
+                    });
+                    entries.extend_from_slice(&cells);
                 }
             }
         }
+        if let Some(e) = corrupt_cell.or(corrupt_topic) {
+            return Err(e);
+        }
+        entries.shrink_to_fit();
+        dense.shrink_to_fit();
         Ok(TopicInferencer {
             base,
             columns,
@@ -360,15 +415,16 @@ impl TopicInferencer {
         }
     }
 
-    /// Freeze the current state of a trainer (its synchronized global φ).
+    /// Freeze the current state of a trainer: the column pass of
+    /// [`TopicInferencer::try_from_columns`] over its shared word-major φ,
+    /// with no `K × V` transpose.
     pub fn from_trainer(trainer: &CuLdaTrainer) -> Self {
         let cfg: &LdaConfig = trainer.config();
-        TopicInferencer::new(
-            &trainer.global_phi(),
-            &trainer.global_nk(),
-            cfg.alpha,
-            cfg.beta,
-        )
+        let (phi, nk) = trainer.shared_counts();
+        match Self::try_from_columns(phi, &nk.to_vec(), cfg.alpha, cfg.beta) {
+            Ok(inferencer) => inferencer,
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Number of topics `K`.
@@ -1012,6 +1068,152 @@ mod tests {
             let want = reference.infer(&doc, opts, &mut ChaCha8Rng::seed_from_u64(opts.seed));
             assert_same_reply(&got, &want);
         }
+    }
+
+    /// 64-bit FNV-1a over every reply's counts and mixture bits.
+    fn replies_digest(replies: &[DocumentTopics]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for reply in replies {
+            reply.counts.iter().for_each(|c| eat(&c.to_le_bytes()));
+            reply
+                .mixture
+                .iter()
+                .for_each(|x| eat(&x.to_bits().to_le_bytes()));
+        }
+        h
+    }
+
+    #[test]
+    fn column_constructor_freezes_the_model_try_new_freezes() {
+        // Many of the column pass's strips, and not a multiple of them.
+        let v = 150;
+        let opts = InferenceOptions {
+            sweeps: 8,
+            burn_in: 2,
+            seed: 7,
+        };
+        for (i, &k) in [1usize, 2, 8, 96, 512].iter().enumerate() {
+            let (phi, nk) = random_counts(k, v, 31 + i as u64);
+            let want = TopicInferencer::try_new(&phi, &nk, 0.1, 0.01).unwrap();
+            let got =
+                TopicInferencer::try_from_columns(&AtomicMatrix::from_dense(&phi), &nk, 0.1, 0.01)
+                    .unwrap();
+            let mut b = CorpusBuilder::new(v);
+            let mut rng = ChaCha8Rng::seed_from_u64(k as u64);
+            b.push_doc(&[]);
+            b.push_doc(&[1, 5, 1, 5, 0, 5, 2, 3]);
+            for _ in 0..12 {
+                let len = rng.gen_range(1..40);
+                let doc: Vec<WordId> = (0..len).map(|_| rng.gen_range(0..v as WordId)).collect();
+                b.push_doc(&doc);
+            }
+            let corpus = b.build();
+            let digest =
+                |m: &TopicInferencer| replies_digest(&m.try_infer_corpus(&corpus, opts).unwrap());
+            assert_eq!(digest(&got), digest(&want), "K = {k}");
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.base), bits(&want.base));
+            assert_eq!(bits(&got.dense), bits(&want.dense));
+            let cells = |m: &TopicInferencer| {
+                let layout: Vec<(u32, u32)> = m.columns.iter().map(|c| (c.start, c.len)).collect();
+                let entries: Vec<(u32, u64)> =
+                    m.entries.iter().map(|&(t, w)| (t, w.to_bits())).collect();
+                (layout, entries)
+            };
+            assert_eq!(cells(&got), cells(&want));
+            assert_eq!(got.heap_bytes(), want.heap_bytes());
+        }
+    }
+
+    /// Freezes `phi` through `try_new`, the column constructor and the
+    /// dense topic-major oracle and checks all three fail alike; returns
+    /// the error.
+    fn same_column_error(
+        phi: &DenseMatrix<u32>,
+        nk: &[i64],
+        alpha: f64,
+        beta: f64,
+    ) -> Option<InferenceError> {
+        let want = same_error(phi, nk, alpha, beta);
+        let got =
+            TopicInferencer::try_from_columns(&AtomicMatrix::from_dense(phi), nk, alpha, beta)
+                .err();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        want
+    }
+
+    #[test]
+    fn column_constructor_fails_like_try_new() {
+        let (phi, nk) = random_counts(8, 12, 3);
+        let mut negative = nk.clone();
+        negative[2] = -1_000_000;
+        assert!(matches!(
+            same_column_error(&phi, &negative, 0.1, 0.01),
+            Some(InferenceError::CorruptTopic { topic: 2, .. })
+        ));
+        // n_k = −Vβ: a zero denominator.
+        let mut zero = nk.clone();
+        zero[5] = -6;
+        assert!(matches!(
+            same_column_error(&phi, &zero, 0.1, 0.5),
+            Some(InferenceError::CorruptTopic { topic: 5, denom }) if denom == 0.0
+        ));
+        for (alpha, beta) in [(f64::NAN, 0.01), (0.1, f64::INFINITY), (0.0, 0.01)] {
+            assert!(matches!(
+                same_column_error(&phi, &nk, alpha, beta),
+                Some(InferenceError::InvalidPrior { .. })
+            ));
+        }
+        assert!(matches!(
+            same_column_error(&phi, &nk[..7], 0.1, 0.01),
+            Some(InferenceError::ShapeMismatch {
+                phi_rows: 8,
+                nk_len: 7
+            })
+        ));
+        assert_eq!(
+            same_column_error(&DenseMatrix::zeros(0, 5), &[], 0.1, 0.01),
+            Some(InferenceError::NoTopics)
+        );
+
+        // Subnormal denominators at topics 1 and 2 (zero n_k under a
+        // subnormal β) make every non-zero cell there overflow.  Word 0 is
+        // clean; word 1 faults at topic 2 and word 3 at topic 1, so the
+        // least (topic, word) sits at a later word than the first fault
+        // the column pass meets — and ahead of topic 3's negative n_k.
+        let beta = 1e-310;
+        let mut phi = DenseMatrix::zeros(4, 5);
+        phi.set(0, 0, 9);
+        phi.set(2, 1, 4);
+        phi.set(1, 3, 6);
+        phi.set(2, 4, 1);
+        let nk = vec![1_000, 0, 0, -5];
+        assert_eq!(
+            same_column_error(&phi, &nk, 0.1, beta),
+            Some(InferenceError::CorruptWeight { topic: 1, word: 3 })
+        );
+        // The only fault at a word other than the first, in a later strip
+        // of the column pass.
+        let mut phi = DenseMatrix::zeros(4, 130);
+        phi.set(0, 0, 9);
+        phi.set(3, 0, 2);
+        phi.set(1, 100, 5);
+        let nk = vec![1_000, 0, 1_000, 1_000];
+        assert_eq!(
+            same_column_error(&phi, &nk, 0.1, beta),
+            Some(InferenceError::CorruptWeight {
+                topic: 1,
+                word: 100
+            })
+        );
+        // No non-zero under the subnormal denominators: a valid model.
+        phi.set(1, 100, 0);
+        assert_eq!(same_column_error(&phi, &nk, 0.1, beta), None);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::model::ChunkState;
 use crate::work::{chunk_words, WorkItem};
 use culda_gpusim::rng::{stable_f32, stable_u64};
 use culda_gpusim::{BlockCtx, BlockKernel, Device, KernelStats, LaunchConfig};
-use culda_sparse::{DenseMatrix, StaleAliasProposal};
+use culda_sparse::{AtomicMatrix, StaleAliasProposal};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -223,7 +223,7 @@ impl SamplerKernel for AliasHybridSampler {
         words: &[u32],
         z: &mut [u16],
         theta_d: &mut [u32],
-        phi: &mut DenseMatrix<u32>,
+        phi: &mut AtomicMatrix,
         nk: &mut [i64],
     ) {
         let k = config.num_topics;
@@ -239,7 +239,7 @@ impl SamplerKernel for AliasHybridSampler {
                 StaleAliasProposal::from_weights(
                     (0..k)
                         .map(|kk| {
-                            (phi.get(kk, w as usize) as f64 + beta) / (nk[kk] as f64 + v_beta)
+                            (phi.load(kk, w as usize) as f64 + beta) / (nk[kk] as f64 + v_beta)
                         })
                         .collect(),
                 )
@@ -257,7 +257,7 @@ impl SamplerKernel for AliasHybridSampler {
             nk[c] -= 1;
 
             let proposal = &stale[&(w as u32)];
-            let fresh = |kk: usize| (phi.get(kk, w) as f64 + beta) / (nk[kk] as f64 + v_beta);
+            let fresh = |kk: usize| (phi.load(kk, w) as f64 + beta) / (nk[kk] as f64 + v_beta);
 
             // Exact sparse part over the document's live topics.
             p1_topics.clear();
@@ -507,6 +507,7 @@ mod tests {
     use crate::SamplerStrategy;
     use culda_corpus::{partition::DocRange, ChunkLayout, DatasetProfile};
     use culda_gpusim::DeviceSpec;
+    use culda_sparse::DenseMatrix;
 
     fn make_state(num_topics: usize, seed: u64) -> ChunkState {
         let corpus = DatasetProfile {
@@ -756,5 +757,119 @@ mod tests {
         let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
         let sampler = AliasHybridSampler::new(4, 2);
         let _ = sampler.sampling_kernel(&state, &items, &cfg, 0);
+    }
+
+    /// The burn-in sweep as it ran over a row-major `K × V` φ, reading a
+    /// word's topic counts at a stride of V: the oracle the column sweep
+    /// must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn row_major_burn_in(
+        sampler: &AliasHybridSampler,
+        config: &LdaConfig,
+        uid: u64,
+        sweep: usize,
+        words: &[u32],
+        z: &mut [u16],
+        theta_d: &mut [u32],
+        phi: &mut DenseMatrix<u32>,
+        nk: &mut [i64],
+    ) {
+        let k = config.num_topics;
+        let alpha = config.alpha;
+        let beta = config.beta;
+        let stream = BURN_STREAM_BASE - sweep as u64;
+        let v_beta = beta * phi.cols() as f64;
+
+        // Stale snapshot at sweep start, for the document's distinct words.
+        let mut stale: BTreeMap<u32, StaleAliasProposal> = BTreeMap::new();
+        for &w in words {
+            stale.entry(w).or_insert_with(|| {
+                StaleAliasProposal::from_weights(
+                    (0..k)
+                        .map(|kk| {
+                            (phi.get(kk, w as usize) as f64 + beta) / (nk[kk] as f64 + v_beta)
+                        })
+                        .collect(),
+                )
+            });
+        }
+
+        let mut p1_topics: Vec<usize> = Vec::new();
+        let mut p1_prefix: Vec<f64> = Vec::new();
+        for (slot, &w) in words.iter().enumerate() {
+            let w = w as usize;
+            let c = z[slot] as usize;
+            // Remove the token: the MH chain targets p^{¬token}.
+            theta_d[c] -= 1;
+            *phi.get_mut(c, w) -= 1;
+            nk[c] -= 1;
+
+            let proposal = &stale[&(w as u32)];
+            let fresh = |kk: usize| (phi.get(kk, w) as f64 + beta) / (nk[kk] as f64 + v_beta);
+
+            // Exact sparse part over the document's live topics.
+            p1_topics.clear();
+            p1_prefix.clear();
+            let mut s = 0.0f64;
+            for (kk, &cnt) in theta_d.iter().enumerate() {
+                if cnt == 0 {
+                    continue;
+                }
+                s += cnt as f64 * fresh(kk);
+                p1_topics.push(kk);
+                p1_prefix.push(s);
+            }
+            let q_hat = alpha * proposal.mass();
+
+            // Per-token sub-stream: every MH draw is a pure function of
+            // (seed, sweep stream, uid, slot, step, draw index).
+            let tseed = stable_u64(config.seed, stream, (uid << 32) | slot as u64);
+            let mut k_cur = c;
+            for step in 0..sampler.mh_steps {
+                let step = step as u64;
+                let pick = stable_f32(tseed, 2 * step, 0) as f64 * (s + q_hat);
+                let k_prop = if pick < s && !p1_topics.is_empty() {
+                    let idx = p1_prefix
+                        .partition_point(|&cum| cum <= pick)
+                        .min(p1_topics.len() - 1);
+                    p1_topics[idx]
+                } else {
+                    let u1 = stable_f32(tseed, 2 * step, 1);
+                    let u2 = stable_f32(tseed, 2 * step, 2);
+                    proposal.table().sample_with(u1, u2)
+                };
+                if k_prop == k_cur {
+                    continue;
+                }
+                let posterior = |kk: usize| (theta_d[kk] as f64 + alpha) * fresh(kk);
+                let mixture =
+                    |kk: usize| theta_d[kk] as f64 * fresh(kk) + alpha * proposal.weight(kk);
+                let accept =
+                    posterior(k_prop) * mixture(k_cur) / (posterior(k_cur) * mixture(k_prop));
+                if (stable_f32(tseed, 2 * step + 1, 3) as f64) < accept {
+                    k_cur = k_prop;
+                }
+            }
+
+            z[slot] = k_cur as u16;
+            theta_d[k_cur] += 1;
+            *phi.get_mut(k_cur, w) += 1;
+            nk[k_cur] += 1;
+        }
+    }
+
+    #[test]
+    fn column_burn_in_matches_the_row_major_oracle() {
+        for (k, mh_steps) in [(8, 2), (64, 4)] {
+            let config = LdaConfig::with_topics(k).seed(11 + k as u64);
+            let sampler = AliasHybridSampler::new(8, mh_steps);
+            crate::kernels::sampler::assert_burn_in_matches_row_major(
+                &sampler,
+                &config,
+                |c, uid, sweep, words, z, theta, phi, nk| {
+                    row_major_burn_in(&sampler, c, uid, sweep, words, z, theta, phi, nk)
+                },
+            );
+        }
     }
 }

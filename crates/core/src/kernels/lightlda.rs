@@ -53,7 +53,7 @@ use crate::model::TopicTotals;
 use crate::work::{chunk_words, WorkItem};
 use culda_gpusim::rng::{stable_f32, stable_u64};
 use culda_gpusim::{BlockCtx, BlockKernel, Device, KernelStats, LaunchConfig};
-use culda_sparse::{AliasTable, DenseMatrix, StaleAliasProposal};
+use culda_sparse::{AliasTable, AtomicMatrix, StaleAliasProposal};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -345,7 +345,7 @@ impl SamplerKernel for LightLdaSampler {
         words: &[u32],
         z: &mut [u16],
         theta_d: &mut [u32],
-        phi: &mut DenseMatrix<u32>,
+        phi: &mut AtomicMatrix,
         nk: &mut [i64],
     ) {
         let k = config.num_topics;
@@ -360,7 +360,7 @@ impl SamplerKernel for LightLdaSampler {
         let mut stale: BTreeMap<u32, WordProposal> = BTreeMap::new();
         for &w in words {
             stale.entry(w).or_insert_with(|| {
-                let counts: Vec<u32> = (0..k).map(|kk| phi.get(kk, w as usize)).collect();
+                let counts: Vec<u32> = (0..k).map(|kk| phi.load(kk, w as usize)).collect();
                 WordProposal::build(&counts, beta, self.prune_below)
             });
         }
@@ -374,7 +374,7 @@ impl SamplerKernel for LightLdaSampler {
             nk[c] -= 1;
 
             let proposal = &stale[&(w as u32)];
-            let fresh = |kk: usize| (phi.get(kk, w) as f64 + beta) / (nk[kk] as f64 + v_beta);
+            let fresh = |kk: usize| (phi.load(kk, w) as f64 + beta) / (nk[kk] as f64 + v_beta);
             let posterior = |kk: usize| (theta_d[kk] as f64 + alpha) * fresh(kk);
 
             let tseed = stable_u64(config.seed, stream, (uid << 32) | slot as u64);
@@ -694,6 +694,7 @@ mod tests {
     use crate::SamplerStrategy;
     use culda_corpus::{partition::DocRange, ChunkLayout, DatasetProfile};
     use culda_gpusim::DeviceSpec;
+    use culda_sparse::DenseMatrix;
     use std::sync::atomic::AtomicU64;
 
     fn make_state(num_topics: usize, seed: u64) -> ChunkState {
@@ -1112,5 +1113,112 @@ mod tests {
         let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
         let sampler = LightLdaSampler::new(4, 4, 0);
         let _ = sampler.sampling_kernel(&state, &items, &cfg, 0);
+    }
+
+    /// The burn-in sweep as it ran over a row-major `K × V` φ, reading a
+    /// word's topic counts at a stride of V: the oracle the column sweep
+    /// must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn row_major_burn_in(
+        sampler: &LightLdaSampler,
+        config: &LdaConfig,
+        uid: u64,
+        sweep: usize,
+        words: &[u32],
+        z: &mut [u16],
+        theta_d: &mut [u32],
+        phi: &mut DenseMatrix<u32>,
+        nk: &mut [i64],
+    ) {
+        let k = config.num_topics;
+        let alpha = config.alpha;
+        let beta = config.beta;
+        let alpha_k = alpha * k as f64;
+        let stream = BURN_STREAM_BASE - sweep as u64;
+        let v_beta = beta * phi.cols() as f64;
+        let len = words.len();
+
+        // Stale snapshot at sweep start, for the document's distinct words.
+        let mut stale: BTreeMap<u32, WordProposal> = BTreeMap::new();
+        for &w in words {
+            stale.entry(w).or_insert_with(|| {
+                let counts: Vec<u32> = (0..k).map(|kk| phi.get(kk, w as usize)).collect();
+                WordProposal::build(&counts, beta, sampler.prune_below)
+            });
+        }
+
+        for (slot, &w) in words.iter().enumerate() {
+            let w = w as usize;
+            let c = z[slot] as usize;
+            // Remove the token: the MH chain targets p^{¬token}.
+            theta_d[c] -= 1;
+            *phi.get_mut(c, w) -= 1;
+            nk[c] -= 1;
+
+            let proposal = &stale[&(w as u32)];
+            let fresh = |kk: usize| (phi.get(kk, w) as f64 + beta) / (nk[kk] as f64 + v_beta);
+            let posterior = |kk: usize| (theta_d[kk] as f64 + alpha) * fresh(kk);
+
+            let tseed = stable_u64(config.seed, stream, (uid << 32) | slot as u64);
+            let mut k_cur = c;
+            for step in 0..sampler.mh_steps {
+                let sstep = step as u64;
+                let (k_prop, q_ratio) = if step % 2 == 0 {
+                    // Doc proposal q(k) ∝ θ_{d,k} + α, drawn O(1): the topic
+                    // of a random token of this document (including the
+                    // current one, as the reference implementation does) or
+                    // a uniform topic from the smoothing mass.
+                    let pick = stable_f32(tseed, 2 * sstep, 0) as f64 * (len as f64 + alpha_k);
+                    let u1 = stable_f32(tseed, 2 * sstep, 1);
+                    let kp = if pick < len as f64 {
+                        let j = ((u1 as f64 * len as f64) as usize).min(len - 1);
+                        z[j] as usize
+                    } else {
+                        ((u1 as f64 * k as f64) as usize).min(k - 1)
+                    };
+                    let q_new = theta_d[kp] as f64 + alpha;
+                    let q_old = theta_d[k_cur] as f64 + alpha;
+                    (kp, q_old / q_new)
+                } else {
+                    // Word proposal q(k) ∝ φ̂_{k,v} + β from the stale table.
+                    let u1 = stable_f32(tseed, 2 * sstep, 1);
+                    let u2 = stable_f32(tseed, 2 * sstep, 2);
+                    let kp = proposal.draw(u1, u2);
+                    let q_new = proposal.weight(kp, beta);
+                    let q_old = proposal.weight(k_cur, beta);
+                    (kp, q_old / q_new)
+                };
+                if k_prop == k_cur {
+                    continue;
+                }
+                let accept = posterior(k_prop) / posterior(k_cur) * q_ratio;
+                if (stable_f32(tseed, 2 * sstep + 1, 3) as f64) < accept {
+                    k_cur = k_prop;
+                }
+            }
+
+            z[slot] = k_cur as u16;
+            theta_d[k_cur] += 1;
+            *phi.get_mut(k_cur, w) += 1;
+            nk[k_cur] += 1;
+        }
+    }
+
+    #[test]
+    fn column_burn_in_matches_the_row_major_oracle() {
+        // Unpruned, a mix of pruned and dense word proposals, all pruned.
+        for prune_below in [0, 40, 1 << 20] {
+            for (k, mh_steps) in [(8, 2), (64, 4)] {
+                let config = LdaConfig::with_topics(k).seed(17 + k as u64);
+                let sampler = LightLdaSampler::new(8, mh_steps, prune_below);
+                crate::kernels::sampler::assert_burn_in_matches_row_major(
+                    &sampler,
+                    &config,
+                    |c, uid, sweep, words, z, theta, phi, nk| {
+                        row_major_burn_in(&sampler, c, uid, sweep, words, z, theta, phi, nk)
+                    },
+                );
+            }
+        }
     }
 }

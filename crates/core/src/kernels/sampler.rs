@@ -36,7 +36,7 @@ use crate::config::{LdaConfig, SamplerStrategy};
 use crate::model::ChunkState;
 use crate::work::WorkItem;
 use culda_gpusim::{BlockKernel, Device};
-use culda_sparse::DenseMatrix;
+use culda_sparse::{AtomicMatrix, DenseMatrix};
 use std::sync::Arc;
 
 /// RNG stream tag of the first streaming burn-in sweep; sweep `s` uses
@@ -150,8 +150,10 @@ pub trait SamplerKernel: Send + Sync {
     /// One host-side streaming burn-in sweep over a freshly ingested
     /// document: resample every token of `words` against the live global
     /// (`phi`, `nk`) counts, updating `z` and the document's topic histogram
-    /// `theta_d` in place.  Sweep `sweep` must draw only from RNG streams
-    /// derived from [`BURN_STREAM_BASE`]`- sweep` keyed by `(uid, slot)`.
+    /// `theta_d` in place.  φ is word-major, so a token reads and writes the
+    /// one contiguous column of its word.  Sweep `sweep` must draw only from
+    /// RNG streams derived from [`BURN_STREAM_BASE`]`- sweep` keyed by
+    /// `(uid, slot)`.
     #[allow(clippy::too_many_arguments)]
     fn burn_in_sweep(
         &self,
@@ -161,7 +163,7 @@ pub trait SamplerKernel: Send + Sync {
         words: &[u32],
         z: &mut [u16],
         theta_d: &mut [u32],
-        phi: &mut DenseMatrix<u32>,
+        phi: &mut AtomicMatrix,
         nk: &mut [i64],
     );
 }
@@ -206,6 +208,106 @@ pub fn sampler_for_strategy(strategy: SamplerStrategy) -> Arc<dyn SamplerKernel>
             "SamplerStrategy::Auto must be resolved to a concrete strategy \
              before a kernel is instantiated"
         ),
+    }
+}
+
+/// Burn in a run of documents twice, through `kernel` on word-major columns
+/// and through `oracle`, the kernel's sweep as it was over a row-major
+/// `K × V` φ (`(config, uid, sweep, words, z, theta_d, phi, nk)`), and assert identical z, θ_d, φ and
+/// `n_k` after each of three sweeps per document.  φ starts from a random
+/// assignment of a background corpus; the fourth document brings words the
+/// vocabulary has not seen, which widens both φs first.
+#[cfg(test)]
+pub(crate) fn assert_burn_in_matches_row_major(
+    kernel: &dyn SamplerKernel,
+    config: &LdaConfig,
+    oracle: impl Fn(
+        &LdaConfig,
+        u64,
+        usize,
+        &[u32],
+        &mut [u16],
+        &mut [u32],
+        &mut DenseMatrix<u32>,
+        &mut [i64],
+    ),
+) {
+    use culda_gpusim::rng::stable_u64;
+    let k = config.num_topics;
+    let vocab = 40usize;
+    let mut columns = AtomicMatrix::zeros(k, vocab);
+    let mut nk = vec![0i64; k];
+    // Background: Zipf-like word ids, so some words are hot and some rare.
+    for i in 0..3_000u64 {
+        let r = stable_u64(config.seed, 1, i);
+        let w = ((r % 1_000) * (r % 1_000) / 25_000) as usize % vocab;
+        let t = (stable_u64(config.seed, 2, i) % k as u64) as usize;
+        *columns.get_mut(t, w) += 1;
+        nk[t] += 1;
+    }
+    let mut dense = columns.to_dense();
+    let mut dense_nk = nk.clone();
+    let docs: Vec<Vec<u32>> = vec![
+        vec![0, 1, 2, 0, 5, 7, 0, 1, 39],
+        vec![3, 3, 3, 12, 30, 31, 3],
+        (0..25).map(|i| (i * 7 % 40) as u32).collect(),
+        vec![2, 41, 44, 41, 0, 44, 44, 40],
+        // A long document: thousands of MH steps, so even a slightly wrong
+        // acceptance ratio flips some decision.
+        (0..2_000u64)
+            .map(|i| (stable_u64(config.seed, 4, i) % 45) as u32)
+            .collect(),
+    ];
+    for (uid, words) in docs.iter().enumerate() {
+        let uid = uid as u64;
+        let width = *words.iter().max().unwrap() as usize + 1;
+        if width > columns.cols() {
+            columns.widen(width);
+            let mut wider = DenseMatrix::zeros(k, width);
+            for t in 0..k {
+                wider.row_mut(t)[..dense.cols()].copy_from_slice(dense.row(t));
+            }
+            dense = wider;
+        }
+        let mut z: Vec<u16> = (0..words.len())
+            .map(|slot| (stable_u64(config.seed, 3, (uid << 32) | slot as u64) % k as u64) as u16)
+            .collect();
+        let mut theta = vec![0u32; k];
+        for (&w, &t) in words.iter().zip(&z) {
+            theta[t as usize] += 1;
+            *columns.get_mut(t as usize, w as usize) += 1;
+            *dense.get_mut(t as usize, w as usize) += 1;
+            nk[t as usize] += 1;
+            dense_nk[t as usize] += 1;
+        }
+        let (mut z_ref, mut theta_ref) = (z.clone(), theta.clone());
+        for sweep in 0..3 {
+            kernel.burn_in_sweep(
+                config,
+                uid,
+                sweep,
+                words,
+                &mut z,
+                &mut theta,
+                &mut columns,
+                &mut nk,
+            );
+            oracle(
+                config,
+                uid,
+                sweep,
+                words,
+                &mut z_ref,
+                &mut theta_ref,
+                &mut dense,
+                &mut dense_nk,
+            );
+            let at = format!("document {uid}, sweep {sweep}");
+            assert_eq!(z, z_ref, "z, {at}");
+            assert_eq!(theta, theta_ref, "θ_d, {at}");
+            assert_eq!(nk, dense_nk, "n_k, {at}");
+            assert_eq!(columns.to_dense(), dense, "φ, {at}");
+        }
     }
 }
 

@@ -23,7 +23,7 @@ use crate::work::WorkItem;
 use culda_gpusim::rng::stable_f32;
 use culda_gpusim::{BlockCtx, BlockKernel};
 use culda_sparse::prefix::search_prefix;
-use culda_sparse::{DenseMatrix, IndexTree, TopicId};
+use culda_sparse::{AtomicMatrix, IndexTree, TopicId};
 use std::sync::atomic::Ordering;
 
 /// The paper's exact S/Q-split collapsed Gibbs sampler — the default
@@ -59,6 +59,13 @@ impl SamplerKernel for SparseCgsSampler {
     /// `(θ_{d,k} + α)(φ_{k,w} + β)/(n_k + βV)` is evaluated fresh for every
     /// token and sampled by inverse CDF from one counter-based draw keyed by
     /// `(uid, slot)`.
+    ///
+    /// Each token takes two passes over K.  The first forms every topic's
+    /// term from three contiguous arrays: the word's φ column, `θ_{d,k} + α`
+    /// and `n_k + βV`.  The last two are kept per topic and refreshed only at
+    /// the two topics a token moves between.  The second pass forms the
+    /// prefix sums in topic order.  Every term and sum is the f64 operation
+    /// a single fused loop would do, in the same order, so the draws are too.
     fn burn_in_sweep(
         &self,
         config: &LdaConfig,
@@ -67,7 +74,7 @@ impl SamplerKernel for SparseCgsSampler {
         words: &[u32],
         z: &mut [u16],
         theta_d: &mut [u32],
-        phi: &mut DenseMatrix<u32>,
+        phi: &mut AtomicMatrix,
         nk: &mut [i64],
     ) {
         let k = config.num_topics;
@@ -75,25 +82,38 @@ impl SamplerKernel for SparseCgsSampler {
         let beta = config.beta;
         let stream = BURN_STREAM_BASE - sweep as u64;
         let v_beta = beta * phi.cols() as f64;
+        let mut theta_alpha: Vec<f64> = theta_d.iter().map(|&n| n as f64 + alpha).collect();
+        let mut nk_v_beta: Vec<f64> = nk.iter().map(|&n| n as f64 + v_beta).collect();
         let mut weights = vec![0.0f64; k];
         for (slot, &w) in words.iter().enumerate() {
-            let w = w as usize;
+            let column = phi.column_mut(w as usize);
             let c = z[slot] as usize;
             theta_d[c] -= 1;
-            *phi.get_mut(c, w) -= 1;
+            *column[c].get_mut() -= 1;
             nk[c] -= 1;
+            theta_alpha[c] = theta_d[c] as f64 + alpha;
+            nk_v_beta[c] = nk[c] as f64 + v_beta;
+            for (((weight, &ta), count), &denom) in weights
+                .iter_mut()
+                .zip(&theta_alpha)
+                .zip(column.iter_mut())
+                .zip(&nk_v_beta)
+            {
+                *weight = ta * (*count.get_mut() as f64 + beta) / denom;
+            }
             let mut total = 0.0f64;
-            for (topic, weight) in weights.iter_mut().enumerate() {
-                total += (theta_d[topic] as f64 + alpha) * (phi.get(topic, w) as f64 + beta)
-                    / (nk[topic] as f64 + v_beta);
+            for weight in &mut weights {
+                total += *weight;
                 *weight = total;
             }
             let u = stable_f32(config.seed, stream, (uid << 32) | slot as u64) as f64 * total;
             let new_topic = weights.partition_point(|&cum| cum <= u).min(k - 1);
             z[slot] = new_topic as u16;
             theta_d[new_topic] += 1;
-            *phi.get_mut(new_topic, w) += 1;
+            *column[new_topic].get_mut() += 1;
             nk[new_topic] += 1;
+            theta_alpha[new_topic] = theta_d[new_topic] as f64 + alpha;
+            nk_v_beta[new_topic] = nk[new_topic] as f64 + v_beta;
         }
     }
 }
@@ -369,6 +389,7 @@ mod tests {
     use crate::work::build_work_items;
     use culda_corpus::{partition::DocRange, ChunkLayout, CorpusBuilder, DatasetProfile};
     use culda_gpusim::{Device, DeviceSpec, LaunchConfig};
+    use culda_sparse::DenseMatrix;
 
     fn make_state(num_topics: usize, seed: u64) -> ChunkState {
         let corpus = DatasetProfile {
@@ -619,5 +640,58 @@ mod tests {
         // optimisation and DRAM traffic higher without it.
         assert!(with.counters.shared_bytes > without.counters.shared_bytes);
         assert!(without.counters.dram_read_bytes > with.counters.dram_read_bytes);
+    }
+
+    /// The burn-in sweep as it ran over a row-major `K × V` φ, reading a
+    /// word's topic counts at a stride of V: the oracle the column sweep
+    /// must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn row_major_burn_in(
+        config: &LdaConfig,
+        uid: u64,
+        sweep: usize,
+        words: &[u32],
+        z: &mut [u16],
+        theta_d: &mut [u32],
+        phi: &mut DenseMatrix<u32>,
+        nk: &mut [i64],
+    ) {
+        let k = config.num_topics;
+        let alpha = config.alpha;
+        let beta = config.beta;
+        let stream = BURN_STREAM_BASE - sweep as u64;
+        let v_beta = beta * phi.cols() as f64;
+        let mut weights = vec![0.0f64; k];
+        for (slot, &w) in words.iter().enumerate() {
+            let w = w as usize;
+            let c = z[slot] as usize;
+            theta_d[c] -= 1;
+            *phi.get_mut(c, w) -= 1;
+            nk[c] -= 1;
+            let mut total = 0.0f64;
+            for (topic, weight) in weights.iter_mut().enumerate() {
+                total += (theta_d[topic] as f64 + alpha) * (phi.get(topic, w) as f64 + beta)
+                    / (nk[topic] as f64 + v_beta);
+                *weight = total;
+            }
+            let u = stable_f32(config.seed, stream, (uid << 32) | slot as u64) as f64 * total;
+            let new_topic = weights.partition_point(|&cum| cum <= u).min(k - 1);
+            z[slot] = new_topic as u16;
+            theta_d[new_topic] += 1;
+            *phi.get_mut(new_topic, w) += 1;
+            nk[new_topic] += 1;
+        }
+    }
+
+    #[test]
+    fn column_burn_in_matches_the_row_major_oracle() {
+        for k in [1, 8, 64] {
+            let config = LdaConfig::with_topics(k).seed(5 + k as u64);
+            crate::kernels::sampler::assert_burn_in_matches_row_major(
+                &SparseCgsSampler,
+                &config,
+                row_major_burn_in,
+            );
+        }
     }
 }

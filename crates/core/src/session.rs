@@ -64,11 +64,12 @@ use crate::trainer::{CuLdaTrainer, TrainerError};
 use culda_corpus::{Corpus, CorpusBuffer, Document};
 use culda_gpusim::rng::stable_u64;
 use culda_gpusim::MultiGpuSystem;
-use culda_sparse::{CsrBuilder, CsrMatrix, DenseMatrix};
+use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix, DenseMatrix};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A batch training session.
 ///
@@ -357,7 +358,11 @@ impl SessionBuilder {
         let mut session = StreamingSession::empty(config, system, self.streaming);
         if let Some(corpus) = self.corpus {
             session.buffer.ensure_vocab(corpus.vocab_size());
-            session.ensure_phi_width(corpus.vocab_size());
+            session
+                .model
+                .own(&mut session.meta)
+                .0
+                .widen(corpus.vocab_size());
             let docs: Vec<Document> = (0..corpus.num_docs())
                 .map(|d| Document::from(corpus.doc(d)))
                 .collect();
@@ -437,6 +442,57 @@ struct DocMeta {
     chunk: usize,
 }
 
+/// Where the authoritative φ / `n_k` (and z) live between calls.
+enum Model {
+    /// The session's own word-major counts, with z in each document's
+    /// [`DocMeta`]: before the first training burst, and from a membership
+    /// change until the next one rebuilds the trainer.
+    Own { phi: AtomicMatrix, nk: Vec<i64> },
+    /// A trainer built for the current membership.  Its shared pair is φ /
+    /// `n_k` and its chunks hold z; the [`DocMeta`] z rows are stale until
+    /// [`Model::own`] pulls them back.
+    Trainer(Box<CuLdaTrainer>),
+}
+
+impl Model {
+    /// The session's own counts.  A trainer is taken apart first: its z is
+    /// pulled into `meta` and its φ / `n_k` change hands.
+    fn own(&mut self, meta: &mut BTreeMap<u64, DocMeta>) -> (&mut AtomicMatrix, &mut Vec<i64>) {
+        if let Model::Trainer(_) = self {
+            let empty = Model::Own {
+                phi: AtomicMatrix::zeros(0, 0),
+                nk: Vec::new(),
+            };
+            let Model::Trainer(trainer) = std::mem::replace(self, empty) else {
+                unreachable!("matched above")
+            };
+            trainer.copy_z_into(meta.values_mut().map(|doc| doc.z.as_mut_slice()));
+            let (phi, nk) = trainer.into_counts();
+            *self = Model::Own { phi, nk };
+        }
+        match self {
+            Model::Own { phi, nk } => (phi, nk),
+            Model::Trainer(_) => unreachable!("taken apart above"),
+        }
+    }
+
+    /// φ, word-major: the session's own or the trainer's shared counts.
+    fn phi(&self) -> &AtomicMatrix {
+        match self {
+            Model::Own { phi, .. } => phi,
+            Model::Trainer(trainer) => trainer.shared_counts().0,
+        }
+    }
+}
+
+/// Row-major views the `&self` accessors hand out, built on first use and
+/// dropped whenever the model changes.
+#[derive(Default)]
+struct Views {
+    phi: OnceLock<DenseMatrix<u32>>,
+    nk: OnceLock<Vec<i64>>,
+}
+
 /// A live LDA model that grows and shrinks while training.
 ///
 /// Owns the authoritative global state between training bursts: the document
@@ -445,8 +501,11 @@ struct DocMeta {
 /// delegated to the batch trainer: whenever the membership changed since the
 /// last burst, the trainer is rebuilt from the live corpus and the current
 /// assignments (an exact state hand-off, so the rebuild is invisible to the
-/// sampled trajectory).  See the [module docs](crate::session) for the
-/// determinism rationale and `DESIGN.md` §9 for the lifecycle.
+/// sampled trajectory).  While that trainer is current, its shared
+/// word-major pair *is* the session's φ / `n_k` and its chunks hold z; the
+/// session takes them back (one sync) only when the membership changes
+/// again.  See the [module docs](crate::session) for the determinism
+/// rationale and `DESIGN.md` §9 for the lifecycle.
 pub struct StreamingSession {
     config: LdaConfig,
     /// Pristine system template; every trainer rebuild gets a
@@ -459,11 +518,12 @@ pub struct StreamingSession {
     opts: StreamingOptions,
     buffer: CorpusBuffer,
     meta: BTreeMap<u64, DocMeta>,
-    /// Global topic–word counts (`K × V`), authoritative whenever no trainer
-    /// burst is mid-flight.
-    phi: DenseMatrix<u32>,
-    /// Global topic totals.
-    nk: Vec<i64>,
+    /// φ / `n_k` (and where z lives): the session's own counts or a trainer
+    /// built for the current membership.
+    model: Model,
+    /// The last published frozen model, until φ / `n_k` next change.
+    published: Option<Arc<TopicInferencer>>,
+    views: Views,
     /// Live tokens per session chunk slot.
     chunk_tokens: Vec<u64>,
     iterations_done: u64,
@@ -473,16 +533,12 @@ pub struct StreamingSession {
     intra_sync_bytes: u64,
     inter_sync_bytes: u64,
     history: Vec<IterationStats>,
-    trainer: Option<CuLdaTrainer>,
     /// Checkpointed sampler-internal state awaiting the first trainer build
     /// after a resume.  Cleared by ingest/retire: once the membership
     /// changes, the uninterrupted run would also have rebuilt its trainer
     /// (and its sampler state) from scratch, so restoring the snapshot
     /// would *diverge* from it rather than match it.
     resume_sampler_state: Option<SamplerResumeState>,
-    /// True when ingest/retire changed the corpus since the trainer was
-    /// last built: the next training burst rebuilds it.
-    membership_dirty: bool,
     ingested_docs: u64,
     retired_docs: u64,
     checkpoints_written: u64,
@@ -500,17 +556,19 @@ impl StreamingSession {
             sampler,
             buffer: CorpusBuffer::new(0),
             meta: BTreeMap::new(),
-            phi: DenseMatrix::zeros(k, 0),
-            nk: vec![0i64; k],
+            model: Model::Own {
+                phi: AtomicMatrix::zeros(k, 0),
+                nk: vec![0i64; k],
+            },
+            published: None,
+            views: Views::default(),
             chunk_tokens: vec![0u64; slots.max(1)],
             iterations_done: 0,
             sim_time_s: 0.0,
             intra_sync_bytes: 0,
             inter_sync_bytes: 0,
             history: Vec::new(),
-            trainer: None,
             resume_sampler_state: None,
-            membership_dirty: true,
             ingested_docs: 0,
             retired_docs: 0,
             checkpoints_written: 0,
@@ -521,17 +579,11 @@ impl StreamingSession {
         }
     }
 
-    /// Widen φ to `vocab` columns (vocabulary growth on ingest).
-    fn ensure_phi_width(&mut self, vocab: usize) {
-        if vocab <= self.phi.cols() {
-            return;
-        }
-        let k = self.phi.rows();
-        let mut wider = DenseMatrix::zeros(k, vocab);
-        for row in 0..k {
-            wider.row_mut(row)[..self.phi.cols()].copy_from_slice(self.phi.row(row));
-        }
-        self.phi = wider;
+    /// φ / `n_k` changed: drop the row-major views and the published
+    /// frozen model.
+    fn model_changed(&mut self) {
+        self.views = Views::default();
+        self.published = None;
     }
 
     /// Append documents to the live model.
@@ -596,7 +648,8 @@ impl StreamingSession {
     fn ingest_one(&mut self, doc: &Document) -> u64 {
         let k = self.config.num_topics;
         let uid = self.buffer.push(&doc.words);
-        self.ensure_phi_width(self.buffer.vocab_size());
+        let (phi, nk) = self.model.own(&mut self.meta);
+        phi.widen(self.buffer.vocab_size());
 
         // Stable initialisation: same stream and keying as the batch
         // trainer's `random_init_stable`, so a session that never retires
@@ -612,8 +665,8 @@ impl StreamingSession {
             let topic = (draw % k as u64) as usize;
             z.push(topic as u16);
             theta_d[topic] += 1;
-            *self.phi.get_mut(topic, w as usize) += 1;
-            self.nk[topic] += 1;
+            *phi.get_mut(topic, w as usize) += 1;
+            nk[topic] += 1;
         }
 
         // Burn the document in against the current global φ, document-major
@@ -630,8 +683,8 @@ impl StreamingSession {
                 &doc.words,
                 &mut z,
                 &mut theta_d,
-                &mut self.phi,
-                &mut self.nk,
+                phi,
+                nk,
             );
         }
 
@@ -647,7 +700,7 @@ impl StreamingSession {
 
         self.meta.insert(uid, DocMeta { z, chunk });
         self.ingested_docs += 1;
-        self.membership_dirty = true;
+        self.model_changed();
         // A membership change invalidates any checkpointed sampler state:
         // the uninterrupted run rebuilds its sampler from scratch here too.
         self.resume_sampler_state = None;
@@ -678,25 +731,24 @@ impl StreamingSession {
                 )));
             }
         }
+        // Even an empty request counts as a membership change, which
+        // rebuilds the trainer (and a stateful sampler's tables).
+        let (phi, nk) = self.model.own(&mut self.meta);
         for &uid in uids {
-            let words = self
-                .buffer
-                .words(uid)
-                .expect("alive document has words")
-                .to_vec();
-            self.buffer
-                .retire(uid)
-                .expect("validated alive and unique above");
+            let words = self.buffer.words(uid).expect("alive document has words");
             let meta = self.meta.remove(&uid).expect("alive document has meta");
             for (&w, &t) in words.iter().zip(&meta.z) {
                 let t = t as usize;
-                *self.phi.get_mut(t, w as usize) -= 1;
-                self.nk[t] -= 1;
+                *phi.get_mut(t, w as usize) -= 1;
+                nk[t] -= 1;
             }
             self.chunk_tokens[meta.chunk] -= words.len() as u64;
+            self.buffer
+                .retire(uid)
+                .expect("validated alive and unique above");
             self.retired_docs += 1;
         }
-        self.membership_dirty = true;
+        self.model_changed();
         self.resume_sampler_state = None;
         if self.buffer.tombstone_fraction() > self.opts.compaction_threshold {
             self.buffer.compact();
@@ -706,62 +758,46 @@ impl StreamingSession {
 
     /// Rebuild the trainer from the live corpus + current assignments if the
     /// membership changed since the last burst.
-    fn ensure_trainer(&mut self) -> Result<(), SessionError> {
-        if self.trainer.is_some() && !self.membership_dirty {
-            return Ok(());
+    fn ensure_trainer(&mut self) -> Result<&mut CuLdaTrainer, SessionError> {
+        if let Model::Own { .. } = self.model {
+            if self.buffer.live_tokens() == 0 {
+                return Err(SessionError::State(
+                    "the session holds no live tokens; ingest documents before training".into(),
+                ));
+            }
+            let corpus = self.buffer.live_corpus();
+            let z: Vec<Vec<u16>> = self.meta.values().map(|m| m.z.clone()).collect();
+            // Consume any checkpointed sampler state on this first build
+            // after a resume (later rebuilds are membership changes, which
+            // cleared it).
+            let sampler_state = self.resume_sampler_state.take();
+            let trainer = CuLdaTrainer::from_parts(
+                &corpus,
+                self.config.clone(),
+                self.system.fresh_like(),
+                Some((&z, self.iterations_done)),
+                sampler_state.as_ref(),
+            )?;
+            // The trainer recounted the same φ / n_k from z; its shared pair
+            // replaces the session's own.
+            self.model = Model::Trainer(Box::new(trainer));
         }
-        if self.buffer.live_tokens() == 0 {
-            return Err(SessionError::State(
-                "the session holds no live tokens; ingest documents before training".into(),
-            ));
+        match &mut self.model {
+            Model::Trainer(trainer) => Ok(trainer),
+            Model::Own { .. } => unreachable!("built above"),
         }
-        let corpus = self.buffer.live_corpus();
-        let z: Vec<Vec<u16>> = self.meta.values().map(|m| m.z.clone()).collect();
-        // Consume any checkpointed sampler state on this first build after a
-        // resume (later rebuilds are membership changes, which cleared it).
-        let sampler_state = self.resume_sampler_state.take();
-        let trainer = CuLdaTrainer::from_parts(
-            &corpus,
-            self.config.clone(),
-            self.system.fresh_like(),
-            Some((&z, self.iterations_done)),
-            sampler_state.as_ref(),
-        )?;
-        self.trainer = Some(trainer);
-        self.membership_dirty = false;
-        Ok(())
-    }
-
-    /// Pull the authoritative state (z, φ, n_k) back out of the trainer
-    /// after a training burst.
-    fn sync_from_trainer(&mut self) {
-        if self.membership_dirty {
-            return; // trainer (if any) is stale; session state already authoritative
-        }
-        let Some(trainer) = &self.trainer else {
-            return;
-        };
-        let snapshot = trainer.z_snapshot();
-        debug_assert_eq!(snapshot.len(), self.meta.len());
-        for (meta, row) in self.meta.values_mut().zip(snapshot) {
-            meta.z = row;
-        }
-        self.phi = trainer.global_phi();
-        self.nk = trainer.global_nk();
     }
 
     /// Run one training iteration over all live documents.
     pub fn run_iteration(&mut self) -> Result<IterationStats, SessionError> {
         let stats = self.run_iteration_inner()?;
-        self.sync_from_trainer();
         self.publish_if_serving()?;
         Ok(stats)
     }
 
     fn run_iteration_inner(&mut self) -> Result<IterationStats, SessionError> {
-        self.ensure_trainer()?;
-        let trainer = self.trainer.as_mut().expect("ensured above");
-        let stats = trainer.run_iteration();
+        let stats = self.ensure_trainer()?.run_iteration();
+        self.model_changed();
         self.iterations_done += 1;
         self.sim_time_s += stats.sim_time_s;
         self.intra_sync_bytes += stats.intra_sync_bytes;
@@ -780,7 +816,6 @@ impl StreamingSession {
             {
                 if self.iterations_done.is_multiple_of(every as u64) {
                     let keep = self.opts.keep_last;
-                    self.sync_from_trainer();
                     self.rotate_checkpoints(&dir, keep)?;
                 }
             }
@@ -788,7 +823,6 @@ impl StreamingSession {
             // anyone is serving from it.
             self.publish_if_serving()?;
         }
-        self.sync_from_trainer();
         Ok(&self.history)
     }
 
@@ -806,18 +840,36 @@ impl StreamingSession {
         ModelSnapshots::from_shared(Arc::clone(&self.serve))
     }
 
-    /// Freeze the current synchronized φ / `n_k` into an immutable
-    /// [`TopicInferencer`] and publish it to every
-    /// [`ModelSnapshots`] handle.  Returns the new snapshot epoch.
+    /// Freeze the current φ / `n_k` into an immutable [`TopicInferencer`]
+    /// and publish it to every [`ModelSnapshots`] handle.  Returns the new
+    /// snapshot epoch.
+    ///
+    /// The model is frozen from word-major columns
+    /// ([`TopicInferencer::try_from_columns`]): the session's own, or the
+    /// current trainer's shared φ, which nothing is pulled out of.  When φ /
+    /// `n_k` have not changed since the last publication, the same frozen
+    /// model is published again under the new epoch.
     pub fn publish_snapshot(&mut self) -> Result<u64, SessionError> {
-        self.sync_from_trainer();
-        let inferencer =
-            TopicInferencer::try_new(&self.phi, &self.nk, self.config.alpha, self.config.beta)?;
-        Ok(self.serve.publish(Arc::new(inferencer)))
+        let frozen = match &self.published {
+            Some(frozen) => Arc::clone(frozen),
+            None => {
+                let frozen = Arc::new(TopicInferencer::try_from_columns(
+                    self.model.phi(),
+                    self.global_nk(),
+                    self.config.alpha,
+                    self.config.beta,
+                )?);
+                self.published = Some(Arc::clone(&frozen));
+                frozen
+            }
+        };
+        Ok(self.serve.publish(frozen))
     }
 
-    /// Publish a fresh snapshot iff a [`ModelSnapshots`] handle exists, so
-    /// sessions nobody serves from never pay the `K × V` snapshot build.
+    /// Publish a snapshot ([`StreamingSession::publish_snapshot`]) iff a
+    /// [`ModelSnapshots`] handle exists, so sessions nobody serves from
+    /// never pay to freeze a model.  Training calls it at every iteration
+    /// boundary.
     fn publish_if_serving(&mut self) -> Result<(), SessionError> {
         if Arc::strong_count(&self.serve) > 1 {
             self.publish_snapshot()?;
@@ -826,37 +878,35 @@ impl StreamingSession {
     }
 
     /// Capture the current model + sampler state as a checkpoint
-    /// snapshot (θ is recounted from the live assignments).
+    /// snapshot (θ is recounted from the live assignments).  This is where
+    /// the checkpoint's row-major `K × V` φ is built.
     pub fn to_checkpoint(&mut self) -> ModelCheckpoint {
-        self.sync_from_trainer();
         let k = self.config.num_topics;
-        let mut builder = CsrBuilder::new(self.meta.len(), k);
-        for meta in self.meta.values() {
-            builder.push_counted_row(meta.z.iter().copied());
+        let z = self.z_snapshot();
+        let mut builder = CsrBuilder::new(z.len(), k);
+        for row in &z {
+            builder.push_counted_row(row.iter().copied());
         }
         let theta: CsrMatrix = builder.finish();
-        // Sampler-internal state: from the live trainer when it is fresh;
-        // otherwise whatever a resume left pending (a stale trainer's
-        // sampler would be rebuilt from scratch anyway, exactly as the
+        // Sampler-internal state: from the live trainer when it is current;
+        // otherwise whatever a resume left pending (the next trainer's
+        // sampler is built from scratch anyway, exactly as the
         // uninterrupted run rebuilds it after a membership change).
-        let sampler_state = if self.membership_dirty {
-            self.resume_sampler_state.clone()
-        } else {
-            self.trainer
-                .as_ref()
-                .and_then(|t| t.sampler_kernel().resume_state())
+        let sampler_state = match &self.model {
+            Model::Own { .. } => self.resume_sampler_state.clone(),
+            Model::Trainer(trainer) => trainer.sampler_kernel().resume_state(),
         };
         ModelCheckpoint {
             num_topics: k,
-            vocab_size: self.phi.cols(),
+            vocab_size: self.model.phi().cols(),
             alpha: self.config.alpha,
             beta: self.config.beta,
-            nk: self.nk.clone(),
-            phi: self.phi.clone(),
+            nk: self.global_nk().to_vec(),
+            phi: self.model.phi().to_dense(),
             theta,
             seed: self.config.seed,
             iterations: self.iterations_done,
-            z: Some(self.meta.values().map(|m| m.z.clone()).collect()),
+            z: Some(z),
             sampler: self.config.sampler,
             sampler_state,
         }
@@ -1052,14 +1102,15 @@ impl StreamingSession {
                 },
             );
         }
-        session.phi = ckpt.phi;
-        session.nk = ckpt.nk;
+        session.model = Model::Own {
+            phi: AtomicMatrix::from_dense(&ckpt.phi),
+            nk: ckpt.nk,
+        };
         session.resume_sampler_state = ckpt.sampler_state;
         session.iterations_done = ckpt.iterations;
         session.ingested_docs = meta.ingested_docs;
         session.retired_docs = meta.retired_docs;
         session.checkpoints_written = meta.checkpoints_written;
-        session.membership_dirty = true;
         session.validate().map_err(SessionError::State)?;
         Ok(session)
     }
@@ -1114,64 +1165,91 @@ impl StreamingSession {
         &self.history
     }
 
-    /// The global topic–word counts φ (`K × V`).
+    /// The global topic–word counts φ as a row-major `K × V` matrix.
+    ///
+    /// The session keeps φ word-major (its own columns, or the current
+    /// trainer's shared pair), so this builds the row-major form on first
+    /// use and keeps it until φ next changes.  Nothing on the training or
+    /// serving path calls it.
     pub fn global_phi(&self) -> &DenseMatrix<u32> {
-        &self.phi
+        self.views.phi.get_or_init(|| self.model.phi().to_dense())
     }
 
     /// The global topic totals `n_k`.
     pub fn global_nk(&self) -> &[i64] {
-        &self.nk
+        match &self.model {
+            Model::Own { nk, .. } => nk,
+            Model::Trainer(trainer) => self.views.nk.get_or_init(|| trainer.global_nk()),
+        }
     }
 
     /// Topic assignments of every live document, in corpus order — the same
     /// shape [`CuLdaTrainer::z_snapshot`] reports, so the determinism
     /// helpers in `culda-testkit` apply directly.
     pub fn z_snapshot(&self) -> Vec<Vec<u16>> {
-        self.meta.values().map(|m| m.z.clone()).collect()
+        match &self.model {
+            Model::Own { .. } => self.meta.values().map(|m| m.z.clone()).collect(),
+            Model::Trainer(trainer) => trainer.z_snapshot(),
+        }
     }
 
     /// The batch trainer currently backing the session, if one was built for
     /// the latest membership (useful for schedule/throughput introspection).
     pub fn trainer(&self) -> Option<&CuLdaTrainer> {
-        if self.membership_dirty {
-            None
-        } else {
-            self.trainer.as_ref()
+        match &self.model {
+            Model::Own { .. } => None,
+            Model::Trainer(trainer) => Some(trainer),
         }
     }
 
     /// Check every count invariant: φ/n_k must be exactly recountable from
     /// the live assignments, chunk occupancy must sum to the live tokens,
-    /// and the backing trainer (when fresh) must agree.
+    /// and the backing trainer (when current) must agree.
     pub fn validate(&self) -> Result<(), String> {
         let k = self.config.num_topics;
-        let mut phi = DenseMatrix::<u32>::zeros(k, self.phi.cols());
+        let phi = self.model.phi();
+        let mut recount = AtomicMatrix::zeros(k, phi.cols());
         let mut nk = vec![0i64; k];
-        for (uid, meta) in &self.meta {
+        let z = self.z_snapshot();
+        if z.len() != self.meta.len() {
+            return Err(format!(
+                "{} documents hold assignments, {} are live",
+                z.len(),
+                self.meta.len()
+            ));
+        }
+        for (uid, z) in self.meta.keys().zip(&z) {
             let words = self
                 .buffer
                 .words(*uid)
                 .ok_or_else(|| format!("meta references unknown document {uid}"))?;
-            if words.len() != meta.z.len() {
+            if words.len() != z.len() {
                 return Err(format!(
                     "document {uid} stores {} tokens but {} assignments",
                     words.len(),
-                    meta.z.len()
+                    z.len()
                 ));
             }
-            for (&w, &t) in words.iter().zip(&meta.z) {
+            for (&w, &t) in words.iter().zip(z) {
                 if t as usize >= k {
                     return Err(format!("document {uid} assigns an out-of-range topic {t}"));
                 }
-                *phi.get_mut(t as usize, w as usize) += 1;
+                *recount.get_mut(t as usize, w as usize) += 1;
                 nk[t as usize] += 1;
             }
         }
-        if phi != self.phi {
+        let same =
+            |a: &AtomicU32, b: &AtomicU32| a.load(Ordering::Relaxed) == b.load(Ordering::Relaxed);
+        let matches_phi = (0..phi.cols()).all(|w| {
+            phi.column(w)
+                .iter()
+                .zip(recount.column(w))
+                .all(|(a, b)| same(a, b))
+        });
+        if !matches_phi {
             return Err("global φ does not match a recount of the live assignments".into());
         }
-        if nk != self.nk {
+        if nk != self.global_nk() {
             return Err("n_k does not match a recount of the live assignments".into());
         }
         let occupancy: u64 = self.chunk_tokens.iter().sum();
@@ -1181,10 +1259,8 @@ impl StreamingSession {
                 self.buffer.live_tokens()
             ));
         }
-        if !self.membership_dirty {
-            if let Some(trainer) = &self.trainer {
-                trainer.validate()?;
-            }
+        if let Model::Trainer(trainer) = &self.model {
+            trainer.validate()?;
         }
         Ok(())
     }
@@ -1474,6 +1550,182 @@ mod tests {
             3,
             "publication stops once the last handle is dropped"
         );
+    }
+
+    /// z, φ, `n_k` and the checkpoint bytes: everything the determinism
+    /// contract pins.
+    type Pinned = (Vec<Vec<u16>>, DenseMatrix<u32>, Vec<i64>, Vec<u8>);
+
+    fn pinned(session: &mut StreamingSession) -> Pinned {
+        let mut bytes = Vec::new();
+        session.to_checkpoint().write(&mut bytes).unwrap();
+        let z = session.z_snapshot();
+        (
+            z,
+            session.global_phi().clone(),
+            session.global_nk().to_vec(),
+            bytes,
+        )
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("culda_session_sync_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Ingest(usize, usize),
+        RetireOldest(usize),
+        Iterate,
+        Publish,
+        Rotate,
+    }
+
+    #[test]
+    fn serving_sessions_pin_the_same_bits_after_every_operation() {
+        let corpus = small_corpus();
+        let docs: Vec<Document> = (0..corpus.num_docs())
+            .map(|d| Document::from(corpus.doc(d)))
+            .collect();
+        let ops = [
+            Op::Ingest(0, 20),
+            Op::Iterate,
+            Op::Publish,
+            Op::Ingest(20, 30),
+            Op::RetireOldest(5),
+            Op::Iterate,
+            Op::Iterate,
+            Op::Publish,
+            Op::Publish,
+            Op::Rotate,
+            Op::Ingest(30, 45),
+            Op::Publish,
+            Op::Iterate,
+            Op::RetireOldest(8),
+            Op::Rotate,
+            Op::Iterate,
+            Op::Publish,
+            Op::Rotate,
+        ];
+        for (s, sampler) in [
+            SamplerStrategy::SparseCgs,
+            SamplerStrategy::light_lda(),
+            SamplerStrategy::alias_hybrid(),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let build = || builder(5).sampler(sampler).build_streaming().unwrap();
+            // `served` publishes at every iteration boundary and on demand;
+            // `quiet` never publishes; both are compared after every step.
+            // `untouched` runs the same steps with no accessor in between.
+            let (mut served, mut quiet, mut untouched) = (build(), build(), build());
+            let handle = served.snapshots();
+            let dirs: Vec<PathBuf> = ["served", "quiet", "untouched"]
+                .iter()
+                .map(|name| scratch_dir(&format!("{name}_{s}")))
+                .collect();
+            for (step, &op) in ops.iter().enumerate() {
+                for (i, session) in [&mut served, &mut quiet, &mut untouched]
+                    .into_iter()
+                    .enumerate()
+                {
+                    match op {
+                        Op::Ingest(a, b) => {
+                            session.ingest(&docs[a..b]);
+                        }
+                        Op::RetireOldest(n) => session.retire(&session.live_uids()[..n]).unwrap(),
+                        Op::Iterate => {
+                            session.run_iteration().unwrap();
+                        }
+                        Op::Publish if i == 0 => {
+                            session.publish_snapshot().unwrap();
+                        }
+                        Op::Publish => {}
+                        Op::Rotate => {
+                            session.rotate_checkpoints(&dirs[i], 2).unwrap();
+                        }
+                    }
+                }
+                let at = format!("{sampler}, step {step} ({op:?})");
+                assert_eq!(pinned(&mut served), pinned(&mut quiet), "{at}");
+                served.validate().unwrap();
+                quiet.validate().unwrap();
+            }
+            assert!(handle.epoch() > 0);
+            assert_eq!(pinned(&mut untouched), pinned(&mut quiet), "{sampler}");
+            untouched.validate().unwrap();
+            let newest = |dir: &Path| {
+                let entry = rotation::latest(dir).unwrap().unwrap();
+                std::fs::read(dir.join(entry.stem).with_extension(rotation::MODEL_EXT)).unwrap()
+            };
+            assert_eq!(newest(&dirs[0]), newest(&dirs[1]), "{sampler}");
+            assert_eq!(newest(&dirs[2]), newest(&dirs[1]), "{sampler}");
+            for dir in dirs {
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn every_publication_bumps_the_epoch_and_reuses_an_unchanged_model() {
+        let mut session = builder(6)
+            .corpus(&small_corpus())
+            .build_streaming()
+            .unwrap();
+        let handle = session.snapshots();
+        let frozen = |h: &ModelSnapshots| h.snapshot().unwrap().1;
+
+        assert_eq!(session.publish_snapshot().unwrap(), 1);
+        let first = frozen(&handle);
+        assert_eq!(session.publish_snapshot().unwrap(), 2);
+        assert!(Arc::ptr_eq(&first, &frozen(&handle)), "unchanged model");
+
+        session.run_iteration().unwrap();
+        assert_eq!(handle.epoch(), 3, "the iteration boundary publishes");
+        let trained = frozen(&handle);
+        assert!(!Arc::ptr_eq(&first, &trained));
+        assert_eq!(session.publish_snapshot().unwrap(), 4);
+        assert!(Arc::ptr_eq(&trained, &frozen(&handle)));
+        // The accessors and a checkpoint read the model without changing it.
+        let _ = (session.global_phi(), session.z_snapshot());
+        let _ = session.to_checkpoint();
+        assert_eq!(session.publish_snapshot().unwrap(), 5);
+        assert!(Arc::ptr_eq(&trained, &frozen(&handle)));
+
+        session.ingest(&[Document::new(vec![0u32, 3, 3])]);
+        assert_eq!(session.publish_snapshot().unwrap(), 6);
+        let ingested = frozen(&handle);
+        assert!(!Arc::ptr_eq(&trained, &ingested));
+        session.retire(&session.live_uids()[..1]).unwrap();
+        assert_eq!(session.publish_snapshot().unwrap(), 7);
+        assert!(!Arc::ptr_eq(&ingested, &frozen(&handle)));
+    }
+
+    #[test]
+    fn validate_is_exact_straight_after_an_iteration() {
+        let mut session = builder(4)
+            .corpus(&small_corpus())
+            .build_streaming()
+            .unwrap();
+        session.run_iteration().unwrap();
+        session.validate().unwrap();
+        // Move one count between topics in the trainer's shared φ: nothing
+        // was pulled out of the trainer, so validate must read it there.
+        let (phi, _) = session.trainer().unwrap().shared_counts();
+        let word = (0..phi.cols()).find(|&w| phi.load(0, w) > 0).unwrap();
+        phi.fetch_sub(0, word, 1);
+        phi.fetch_add(1, word, 1);
+        let err = session.validate().unwrap_err();
+        assert!(err.contains("global φ"), "{err}");
+        phi.fetch_sub(1, word, 1);
+        phi.fetch_add(0, word, 1);
+        session.validate().unwrap();
+        session.run_iteration().unwrap();
+        session.validate().unwrap();
     }
 
     #[test]

@@ -498,19 +498,33 @@ impl CuLdaTrainer {
     /// same snapshot whatever their GPU topology; the determinism tests in
     /// `culda-testkit` rely on exactly this.
     pub fn z_snapshot(&self) -> Vec<Vec<u16>> {
-        let mut docs = Vec::with_capacity(self.num_docs);
+        let mut docs: Vec<Vec<u16>> = self
+            .states
+            .iter()
+            .flat_map(|state| {
+                let layout = &state.layout;
+                (0..layout.num_docs()).map(|d| vec![0; layout.doc_positions(d).len()])
+            })
+            .collect();
+        self.copy_z_into(docs.iter_mut().map(Vec::as_mut_slice));
+        docs
+    }
+
+    /// Write the assignments into `rows`, one per document in the order and
+    /// shape of [`CuLdaTrainer::z_snapshot`], without allocating.
+    pub(crate) fn copy_z_into<'a>(&self, rows: impl IntoIterator<Item = &'a mut [u16]>) {
+        let mut rows = rows.into_iter();
         for state in &self.states {
             for d in 0..state.layout.num_docs() {
-                let row: Vec<u16> = state
-                    .layout
-                    .doc_positions(d)
-                    .iter()
-                    .map(|&pos| state.z[pos as usize].load(std::sync::atomic::Ordering::Relaxed))
-                    .collect();
-                docs.push(row);
+                let row = rows.next().expect("a row for every document");
+                let positions = state.layout.doc_positions(d);
+                debug_assert_eq!(row.len(), positions.len(), "row length of a document");
+                for (dst, &pos) in row.iter_mut().zip(positions) {
+                    *dst = state.z[pos as usize].load(std::sync::atomic::Ordering::Relaxed);
+                }
             }
         }
-        docs
+        debug_assert!(rows.next().is_none(), "more rows than documents");
     }
 
     /// The full document–topic matrix θ (documents in corpus order).
@@ -535,6 +549,21 @@ impl CuLdaTrainer {
     /// The global topic totals `n_k`.
     pub fn global_nk(&self) -> Vec<i64> {
         self.states[0].nk_global.to_vec()
+    }
+
+    /// The shared φ / n_k pair every chunk reads and updates, φ word-major.
+    pub(crate) fn shared_counts(&self) -> (&AtomicMatrix, &TopicTotals) {
+        (&self.states[0].phi_global, &self.states[0].nk_global)
+    }
+
+    /// Drop the trainer and keep its φ / n_k.  Only the chunks share φ, so
+    /// once they are gone it changes hands without a copy.
+    pub(crate) fn into_counts(self) -> (AtomicMatrix, Vec<i64>) {
+        let nk = self.global_nk();
+        let phi = Arc::clone(&self.states[0].phi_global);
+        drop(self);
+        let phi = Arc::try_unwrap(phi).expect("only the trainer's chunks share φ");
+        (phi, nk)
     }
 
     /// The `n` highest-count words of a topic (for qualitative inspection).

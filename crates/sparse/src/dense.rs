@@ -203,6 +203,41 @@ impl AtomicMatrix {
         prev
     }
 
+    /// Column `c`, mutably.  Nothing else can reach it through `&mut self`,
+    /// so [`AtomicU32::get_mut`] reads and writes it as plain integers.
+    #[inline]
+    pub fn column_mut(&mut self, c: usize) -> &mut [AtomicU32] {
+        &mut self.data[c * self.rows..(c + 1) * self.rows]
+    }
+
+    /// Element `(r, c)`, mutably, as a plain integer.
+    #[inline]
+    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut u32 {
+        let i = self.idx(r, c);
+        self.data[i].get_mut()
+    }
+
+    /// Append zero columns up to `cols` (never shrinks).  The storage is
+    /// column-major, so the existing columns stay where they are.
+    pub fn widen(&mut self, cols: usize) {
+        if cols > self.cols {
+            self.cols = cols;
+            self.data
+                .resize_with(self.rows * cols, || AtomicU32::new(0));
+        }
+    }
+
+    /// The counts of a row-major matrix.
+    pub fn from_dense(m: &DenseMatrix<u32>) -> Self {
+        let mut out = Self::zeros(m.rows(), m.cols());
+        for r in 0..m.rows() {
+            for (c, &v) in m.row(r).iter().enumerate() {
+                *out.get_mut(r, c) = v;
+            }
+        }
+        out
+    }
+
     /// Snapshot into a plain row-major matrix: a transpose of the storage,
     /// done in strips of `STRIP` columns so each output row segment is
     /// written contiguously while the strip's columns are read in order.
@@ -321,6 +356,27 @@ mod tests {
                 for c in 0..cols {
                     assert_eq!(d.get(r, c), cell(r, c), "({r},{c}) of {rows}x{cols}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn atomic_widen_appends_zero_columns_and_keeps_the_counts() {
+        let mut a = AtomicMatrix::from_dense(&numbered(3, 130).to_dense());
+        *a.get_mut(2, 129) += 1;
+        *a.column_mut(4)[1].get_mut() = 7;
+        a.widen(140);
+        a.widen(135);
+        assert_eq!((a.rows(), a.cols()), (3, 140));
+        for r in 0..3 {
+            for c in 0..140 {
+                let want = match (r, c) {
+                    (2, 129) => cell(2, 129) + 1,
+                    (1, 4) => 7,
+                    (_, c) if c >= 130 => 0,
+                    _ => cell(r, c),
+                };
+                assert_eq!(a.load(r, c), want, "({r},{c})");
             }
         }
     }
