@@ -497,10 +497,10 @@ fn check(path: &str) -> Result<(), String> {
     }
     if failures.is_empty() {
         println!(
-            "perf gate passed ({} scenarios, sim tolerance {:.0}%, wall band {:.0}%)",
+            "perf gate passed ({} scenarios, sim tolerance {:.0}%, wall floor {:.2}× baseline)",
             baseline.len(),
             TOLERANCE * 100.0,
-            WALL_BAND * 100.0
+            WALL_BAND
         );
         Ok(())
     } else {

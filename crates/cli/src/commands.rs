@@ -745,12 +745,8 @@ pub fn stream(args: &ParsedArgs) -> Result<String, CliError> {
         writeln!(
             out,
             "batch {batch_idx:>3}: {:>6} live docs {:>9} live tokens  \
-             tombstones {:>5.1}%  it {:>4}  {:.3}s simulated",
-            s.live_docs,
-            s.live_tokens,
-            s.tombstone_fraction * 100.0,
-            s.iterations,
-            s.sim_time_s
+             it {:>4}  {:.3}s simulated",
+            s.live_docs, s.live_tokens, s.iterations, s.sim_time_s
         )
         .unwrap();
     }

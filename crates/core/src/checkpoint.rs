@@ -616,17 +616,21 @@ impl ModelCheckpoint {
 /// File naming and discovery for rotated streaming-session checkpoints.
 ///
 /// A rotation *set* is three files sharing a stem
-/// (`stream-<seq:06>-it<iterations:010>`): the checkpoint-v2 model
+/// (`stream-<seq:06>-it<iterations:010>`): the CLDM checkpoint model
 /// (`.cldm`), the live corpus snapshot (`.cldc`), and the session metadata
-/// sidecar (`.meta`).  The model file is written last, so only sets whose
-/// `.cldm` exists alongside the other two count as complete; `latest`
-/// returns the complete set with the highest sequence number.
+/// sidecar (`.meta`).  The model file is written last, to `.cldm.tmp` and
+/// then renamed into place, so only sets whose whole `.cldm` exists
+/// alongside the other two count as complete; `latest` returns the
+/// complete set with the highest sequence number.
 pub mod rotation {
     use std::io;
     use std::path::Path;
 
-    /// Extension of the checkpoint-v2 model file.
+    /// Extension of the CLDM checkpoint model file.
     pub const MODEL_EXT: &str = "cldm";
+    /// Extension the model file is written under before it is renamed to
+    /// [`MODEL_EXT`].
+    pub const MODEL_TMP_EXT: &str = "cldm.tmp";
     /// Extension of the live corpus snapshot.
     pub const CORPUS_EXT: &str = "cldc";
     /// Extension of the session metadata sidecar.

@@ -61,7 +61,7 @@ use crate::model::ChunkState;
 use crate::schedule::IterationStats;
 use crate::serve::{ModelSnapshots, SnapshotShared};
 use crate::trainer::{CuLdaTrainer, TrainerError};
-use culda_corpus::{Corpus, CorpusBuffer, Document};
+use culda_corpus::{Corpus, CorpusBuilder, Document};
 use culda_gpusim::rng::stable_u64;
 use culda_gpusim::MultiGpuSystem;
 use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix, DenseMatrix};
@@ -161,11 +161,6 @@ pub struct StreamingOptions {
     /// initialisation only, which makes an ingest-everything-then-train
     /// streaming run bit-identical to a batch [`TrainingSession`].
     pub burn_in_sweeps: usize,
-    /// When the fraction of stored tokens held by retired (tombstoned)
-    /// documents crosses this threshold, the backing store is compacted.
-    /// Compaction never changes live document order, so it cannot change
-    /// sampled assignments.
-    pub compaction_threshold: f64,
     /// Directory checkpoints are rotated into on the iteration cadence.
     pub checkpoint_dir: Option<PathBuf>,
     /// Rotate a checkpoint every this many completed training iterations
@@ -179,7 +174,6 @@ impl Default for StreamingOptions {
     fn default() -> Self {
         StreamingOptions {
             burn_in_sweeps: 1,
-            compaction_threshold: 0.25,
             checkpoint_dir: None,
             checkpoint_every: None,
             keep_last: 3,
@@ -279,14 +273,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Tombstone fraction that triggers storage compaction (streaming only;
-    /// default 0.25).
-    pub fn compaction_threshold(mut self, fraction: f64) -> Self {
-        self.streaming.compaction_threshold = fraction;
-        self
-    }
-
-    /// Rotate checkpoint-v2 snapshots into `dir` every `every` completed
+    /// Rotate CLDM checkpoint snapshots into `dir` every `every` completed
     /// training iterations, keeping the most recent
     /// [`StreamingOptions::keep_last`] (streaming only).
     pub fn checkpoint_cadence(mut self, dir: impl Into<PathBuf>, every: usize) -> Self {
@@ -316,13 +303,13 @@ impl SessionBuilder {
             TrainerError::InvalidConfig("a session needs a system (SessionBuilder::system)".into())
         })?;
         let config = Self::config_or_default(self.config);
-        let sampler_state = self.sampler_state.as_ref();
-        match &self.assignments {
-            None => CuLdaTrainer::from_parts(&corpus, config, system, None, sampler_state),
-            Some((z, start)) => {
-                CuLdaTrainer::from_parts(&corpus, config, system, Some((z, *start)), sampler_state)
-            }
-        }
+        CuLdaTrainer::from_parts(
+            &corpus,
+            config,
+            system,
+            self.assignments.as_ref().map(|(z, s)| (z.as_slice(), *s)),
+            self.sampler_state.as_ref(),
+        )
     }
 
     /// Build a [`StreamingSession`].  A configured corpus is ingested as the
@@ -357,10 +344,11 @@ impl SessionBuilder {
         }
         let mut session = StreamingSession::empty(config, system, self.streaming);
         if let Some(corpus) = self.corpus {
-            session.buffer.ensure_vocab(corpus.vocab_size());
+            // Keep the corpus's full id range, even trailing words that no
+            // document uses yet.
             session
                 .model
-                .own(&mut session.meta)
+                .own(&mut session.docs)
                 .0
                 .widen(corpus.vocab_size());
             let docs: Vec<Document> = (0..corpus.num_docs())
@@ -385,9 +373,6 @@ pub struct SessionStats {
     pub ingested_docs: u64,
     /// Documents retired over the session's lifetime.
     pub retired_docs: u64,
-    /// Fraction of stored tokens held by tombstoned documents (drops to 0
-    /// after compaction).
-    pub tombstone_fraction: f64,
     /// Live tokens per session chunk slot (the least-loaded-chunk placement
     /// target of [`StreamingSession::ingest`]).
     pub chunk_tokens: Vec<u64>,
@@ -433,9 +418,11 @@ impl SessionStats {
     }
 }
 
-/// Per-document state the session tracks next to the token storage.
+/// One live document of a streaming session.
 #[derive(Debug, Clone)]
-struct DocMeta {
+struct Doc {
+    /// The token word ids, original document order.
+    words: Vec<u32>,
     /// Topic assignment of every token, original document order.
     z: Vec<u16>,
     /// Session chunk slot the document was placed on at ingest.
@@ -444,20 +431,20 @@ struct DocMeta {
 
 /// Where the authoritative φ / `n_k` (and z) live between calls.
 enum Model {
-    /// The session's own word-major counts, with z in each document's
-    /// [`DocMeta`]: before the first training burst, and from a membership
-    /// change until the next one rebuilds the trainer.
+    /// The session's own word-major counts, with z in each [`Doc`]: before
+    /// the first training burst, and from a membership change until the
+    /// next one rebuilds the trainer.
     Own { phi: AtomicMatrix, nk: Vec<i64> },
     /// A trainer built for the current membership.  Its shared pair is φ /
-    /// `n_k` and its chunks hold z; the [`DocMeta`] z rows are stale until
+    /// `n_k` and its chunks hold z; the [`Doc`] z rows are stale until
     /// [`Model::own`] pulls them back.
     Trainer(Box<CuLdaTrainer>),
 }
 
 impl Model {
     /// The session's own counts.  A trainer is taken apart first: its z is
-    /// pulled into `meta` and its φ / `n_k` change hands.
-    fn own(&mut self, meta: &mut BTreeMap<u64, DocMeta>) -> (&mut AtomicMatrix, &mut Vec<i64>) {
+    /// pulled into `docs` and its φ / `n_k` change hands.
+    fn own(&mut self, docs: &mut BTreeMap<u64, Doc>) -> (&mut AtomicMatrix, &mut Vec<i64>) {
         if let Model::Trainer(_) = self {
             let empty = Model::Own {
                 phi: AtomicMatrix::zeros(0, 0),
@@ -466,7 +453,7 @@ impl Model {
             let Model::Trainer(trainer) = std::mem::replace(self, empty) else {
                 unreachable!("matched above")
             };
-            trainer.copy_z_into(meta.values_mut().map(|doc| doc.z.as_mut_slice()));
+            trainer.copy_z_into(docs.values_mut().map(|doc| doc.z.as_mut_slice()));
             let (phi, nk) = trainer.into_counts();
             *self = Model::Own { phi, nk };
         }
@@ -495,13 +482,13 @@ struct Views {
 
 /// A live LDA model that grows and shrinks while training.
 ///
-/// Owns the authoritative global state between training bursts: the document
-/// store (with stable uids and tombstones), every document's topic
-/// assignments, and the global φ / `n_k` counts.  Training itself is
-/// delegated to the batch trainer: whenever the membership changed since the
-/// last burst, the trainer is rebuilt from the live corpus and the current
-/// assignments (an exact state hand-off, so the rebuild is invisible to the
-/// sampled trajectory).  While that trainer is current, its shared
+/// Owns the authoritative global state between training bursts: every live
+/// document's words, topic assignments and chunk slot under its stable uid,
+/// and the global φ / `n_k` counts.  Training itself is delegated to the
+/// batch trainer: whenever the membership changed since the last burst, the
+/// trainer is rebuilt from the live corpus and the current assignments (an
+/// exact state hand-off, so the rebuild is invisible to the sampled
+/// trajectory).  While that trainer is current, its shared
 /// word-major pair *is* the session's φ / `n_k` and its chunks hold z; the
 /// session takes them back (one sync) only when the membership changes
 /// again.  See the [module docs](crate::session) for the determinism
@@ -516,8 +503,11 @@ pub struct StreamingSession {
     /// same sampler family that will train it.
     sampler: Arc<dyn SamplerKernel>,
     opts: StreamingOptions,
-    buffer: CorpusBuffer,
-    meta: BTreeMap<u64, DocMeta>,
+    /// The live documents by stable uid; ascending uid order is corpus
+    /// order for the trainer, z snapshots and checkpoints.
+    docs: BTreeMap<u64, Doc>,
+    /// The uid the next ingested document receives (never reused).
+    next_uid: u64,
     /// φ / `n_k` (and where z lives): the session's own counts or a trainer
     /// built for the current membership.
     model: Model,
@@ -554,8 +544,8 @@ impl StreamingSession {
         let sampler = sampler_for(&config);
         StreamingSession {
             sampler,
-            buffer: CorpusBuffer::new(0),
-            meta: BTreeMap::new(),
+            docs: BTreeMap::new(),
+            next_uid: 0,
             model: Model::Own {
                 phi: AtomicMatrix::zeros(k, 0),
                 nk: vec![0i64; k],
@@ -625,7 +615,7 @@ impl StreamingSession {
     ///   the session's lifetime; shard across sessions instead), or
     /// * ingest a single document longer than 2³² tokens.
     pub fn try_ingest(&mut self, docs: &[Document]) -> Result<Vec<u64>, SessionError> {
-        let first_uid = self.buffer.next_uid();
+        let first_uid = self.next_uid;
         let end_uid = first_uid.checked_add(docs.len() as u64);
         if end_uid.is_none() || end_uid.unwrap() > MAX_KEYED_UID {
             return Err(SessionError::State(format!(
@@ -647,9 +637,13 @@ impl StreamingSession {
 
     fn ingest_one(&mut self, doc: &Document) -> u64 {
         let k = self.config.num_topics;
-        let uid = self.buffer.push(&doc.words);
-        let (phi, nk) = self.model.own(&mut self.meta);
-        phi.widen(self.buffer.vocab_size());
+        let uid = self.next_uid;
+        self.next_uid += 1;
+        let (phi, nk) = self.model.own(&mut self.docs);
+        // Word ids beyond the vocabulary grow it.
+        if let Some(&w) = doc.words.iter().max() {
+            phi.widen(w as usize + 1);
+        }
 
         // Stable initialisation: same stream and keying as the batch
         // trainer's `random_init_stable`, so a session that never retires
@@ -698,7 +692,8 @@ impl StreamingSession {
             .unwrap_or(0);
         self.chunk_tokens[chunk] += doc.words.len() as u64;
 
-        self.meta.insert(uid, DocMeta { z, chunk });
+        let words = doc.words.clone();
+        self.docs.insert(uid, Doc { words, z, chunk });
         self.ingested_docs += 1;
         self.model_changed();
         // A membership change invalidates any checkpointed sampler state:
@@ -708,10 +703,8 @@ impl StreamingSession {
     }
 
     /// Retire documents: subtract each document's topic counts from the
-    /// global φ / `n_k`, free its chunk slot occupancy, and tombstone its
-    /// storage row.  When the tombstone fraction crosses
-    /// [`StreamingOptions::compaction_threshold`], the store is compacted
-    /// (a pure storage operation — live order is untouched).
+    /// global φ / `n_k`, free its chunk slot occupancy, and drop it from the
+    /// store.  The live documents keep their ascending uid order.
     ///
     /// Fails without side effects if any uid is unknown, already retired,
     /// or listed more than once.
@@ -720,7 +713,7 @@ impl StreamingSession {
         // cannot fail halfway through (all-or-nothing semantics).
         let mut seen = std::collections::BTreeSet::new();
         for &uid in uids {
-            if !self.buffer.is_alive(uid) {
+            if !self.docs.contains_key(&uid) {
                 return Err(SessionError::State(format!(
                     "document {uid} is unknown or already retired"
                 )));
@@ -733,26 +726,19 @@ impl StreamingSession {
         }
         // Even an empty request counts as a membership change, which
         // rebuilds the trainer (and a stateful sampler's tables).
-        let (phi, nk) = self.model.own(&mut self.meta);
-        for &uid in uids {
-            let words = self.buffer.words(uid).expect("alive document has words");
-            let meta = self.meta.remove(&uid).expect("alive document has meta");
-            for (&w, &t) in words.iter().zip(&meta.z) {
+        let (phi, nk) = self.model.own(&mut self.docs);
+        for uid in uids {
+            let doc = self.docs.remove(uid).expect("validated live above");
+            for (&w, &t) in doc.words.iter().zip(&doc.z) {
                 let t = t as usize;
                 *phi.get_mut(t, w as usize) -= 1;
                 nk[t] -= 1;
             }
-            self.chunk_tokens[meta.chunk] -= words.len() as u64;
-            self.buffer
-                .retire(uid)
-                .expect("validated alive and unique above");
+            self.chunk_tokens[doc.chunk] -= doc.words.len() as u64;
             self.retired_docs += 1;
         }
         self.model_changed();
         self.resume_sampler_state = None;
-        if self.buffer.tombstone_fraction() > self.opts.compaction_threshold {
-            self.buffer.compact();
-        }
         Ok(())
     }
 
@@ -760,13 +746,13 @@ impl StreamingSession {
     /// membership changed since the last burst.
     fn ensure_trainer(&mut self) -> Result<&mut CuLdaTrainer, SessionError> {
         if let Model::Own { .. } = self.model {
-            if self.buffer.live_tokens() == 0 {
+            if self.live_tokens() == 0 {
                 return Err(SessionError::State(
                     "the session holds no live tokens; ingest documents before training".into(),
                 ));
             }
-            let corpus = self.buffer.live_corpus();
-            let z: Vec<Vec<u16>> = self.meta.values().map(|m| m.z.clone()).collect();
+            let corpus = self.live_corpus();
+            let z: Vec<Vec<u16>> = self.docs.values().map(|doc| doc.z.clone()).collect();
             // Consume any checkpointed sampler state on this first build
             // after a resume (later rebuilds are membership changes, which
             // cleared it).
@@ -914,7 +900,7 @@ impl StreamingSession {
 
     /// Write a rotated checkpoint set into `dir` and prune old ones so at
     /// most `keep_last` remain.  A set is three files sharing a stem
-    /// ([`rotation::stem`]): the checkpoint-v2 model (`.cldm`), the live
+    /// ([`rotation::stem`]): the CLDM checkpoint model (`.cldm`), the live
     /// corpus snapshot (`.cldc`), and the session metadata (`.meta` — stable
     /// uids, chunk placement, lifetime counters).  Returns the stem path of
     /// the new set.
@@ -929,13 +915,17 @@ impl StreamingSession {
         let stem = dir.join(rotation::stem(seq, self.iterations_done));
 
         let ckpt = self.to_checkpoint();
-        let corpus = self.buffer.live_corpus();
+        let corpus = self.live_corpus();
         culda_corpus::save_corpus(&corpus, stem.with_extension(rotation::CORPUS_EXT))?;
         self.write_meta(&stem.with_extension(rotation::META_EXT))?;
-        // The model file lands last: discovery treats a set without its
-        // `.cldm` as incomplete, so a crash mid-rotation never yields a
-        // resumable-but-corrupt set.
-        ckpt.save(stem.with_extension(rotation::MODEL_EXT))?;
+        // The model file lands last, and whole: it is written under a
+        // temporary name and renamed into place.  Discovery treats a set
+        // without its `.cldm` as incomplete, so a crash mid-rotation never
+        // yields a resumable-but-corrupt set.
+        let model = stem.with_extension(rotation::MODEL_EXT);
+        let tmp = stem.with_extension(rotation::MODEL_TMP_EXT);
+        ckpt.save(&tmp)?;
+        std::fs::rename(&tmp, &model)?;
 
         self.checkpoints_written += 1;
         rotation::prune(dir, keep_last.max(1))?;
@@ -946,17 +936,17 @@ impl StreamingSession {
         let mut w = io::BufWriter::new(std::fs::File::create(path)?);
         w.write_all(META_MAGIC)?;
         w.write_all(&META_VERSION.to_le_bytes())?;
-        w.write_all(&self.buffer.next_uid().to_le_bytes())?;
+        w.write_all(&self.next_uid.to_le_bytes())?;
         w.write_all(&self.ingested_docs.to_le_bytes())?;
         w.write_all(&self.retired_docs.to_le_bytes())?;
         // The rotation being written is number `checkpoints_written`; a
         // session resumed from it must continue the sequence *after* it.
         w.write_all(&(self.checkpoints_written + 1).to_le_bytes())?;
         w.write_all(&(self.chunk_tokens.len() as u64).to_le_bytes())?;
-        w.write_all(&(self.meta.len() as u64).to_le_bytes())?;
-        for (uid, meta) in &self.meta {
+        w.write_all(&(self.docs.len() as u64).to_le_bytes())?;
+        for (uid, doc) in &self.docs {
             w.write_all(&uid.to_le_bytes())?;
-            w.write_all(&(meta.chunk as u32).to_le_bytes())?;
+            w.write_all(&(doc.chunk as u32).to_le_bytes())?;
         }
         w.flush()
     }
@@ -975,8 +965,8 @@ impl StreamingSession {
     }
 
     /// [`StreamingSession::resume`] with explicit streaming options
-    /// (burn-in sweeps, compaction threshold, checkpoint cadence) while the
-    /// configuration is still reconstructed from the checkpoint.
+    /// (burn-in sweeps, checkpoint cadence) while the configuration is still
+    /// reconstructed from the checkpoint.
     pub fn resume_with_options(
         dir: impl AsRef<Path>,
         system: MultiGpuSystem,
@@ -1054,10 +1044,10 @@ impl StreamingSession {
             .validate()
             .map_err(|e| SessionError::State(format!("invalid configuration: {e}")))?;
 
-        // The sidecar is untrusted on-disk input: check the uid stream here
-        // (strictly ascending, all below next_uid) so corruption surfaces as
-        // an error rather than tripping `CorpusBuffer::from_parts`'s
-        // internal invariant assertions.
+        // The sidecar is untrusted on-disk input: the uid stream must be
+        // strictly ascending and below next_uid.  That makes the store's
+        // ascending uid order the corpus file's order, and keeps later
+        // ingests from reusing a uid.
         let mut prev: Option<u64> = None;
         for &(uid, _) in &meta.docs {
             if prev.is_some_and(|p| p >= uid) || uid >= meta.next_uid {
@@ -1072,13 +1062,7 @@ impl StreamingSession {
 
         let mut session = StreamingSession::empty(config, system, opts);
         session.chunk_tokens = vec![0u64; meta.num_chunks.max(1)];
-        let docs: Vec<(u64, Vec<u32>)> = meta
-            .docs
-            .iter()
-            .enumerate()
-            .map(|(i, &(uid, _))| (uid, corpus.doc(i).to_vec()))
-            .collect();
-        session.buffer = CorpusBuffer::from_parts(corpus.vocab_size(), docs, meta.next_uid);
+        session.next_uid = meta.next_uid;
         for ((&(uid, chunk), row), d) in meta.docs.iter().zip(z).zip(0..corpus.num_docs()) {
             if chunk as usize >= session.chunk_tokens.len() {
                 return Err(SessionError::State(format!(
@@ -1094,9 +1078,10 @@ impl StreamingSession {
                 )));
             }
             session.chunk_tokens[chunk as usize] += row.len() as u64;
-            session.meta.insert(
+            session.docs.insert(
                 uid,
-                DocMeta {
+                Doc {
+                    words: corpus.doc(d).to_vec(),
                     z: row,
                     chunk: chunk as usize,
                 },
@@ -1116,22 +1101,21 @@ impl StreamingSession {
     }
 
     /// A point-in-time summary (live documents/tokens, chunk occupancy,
-    /// tombstone fraction, lifetime counters).
+    /// lifetime counters).
     pub fn stats(&self) -> SessionStats {
         let query = self.serve.query_stats();
         SessionStats {
-            live_docs: self.buffer.num_live_docs(),
-            live_tokens: self.buffer.live_tokens(),
+            live_docs: self.docs.len(),
+            live_tokens: self.live_tokens(),
             ingested_docs: self.ingested_docs,
             retired_docs: self.retired_docs,
-            tombstone_fraction: self.buffer.tombstone_fraction(),
             chunk_tokens: self.chunk_tokens.clone(),
             iterations: self.iterations_done,
             sim_time_s: self.sim_time_s,
             intra_sync_bytes: self.intra_sync_bytes,
             inter_sync_bytes: self.inter_sync_bytes,
             checkpoints_written: self.checkpoints_written,
-            vocab_size: self.buffer.vocab_size(),
+            vocab_size: self.model.phi().cols(),
             queries_served: query.queries,
             query_p50_ms: query.p50_ms,
             query_p99_ms: query.p99_ms,
@@ -1147,7 +1131,23 @@ impl StreamingSession {
 
     /// Stable uids of the live documents, in corpus order.
     pub fn live_uids(&self) -> Vec<u64> {
-        self.buffer.live_uids()
+        self.docs.keys().copied().collect()
+    }
+
+    /// Tokens across the live documents.
+    fn live_tokens(&self) -> u64 {
+        self.chunk_tokens.iter().sum()
+    }
+
+    /// The live documents as a [`Corpus`], ascending uid order, over φ's
+    /// vocabulary width.
+    fn live_corpus(&self) -> Corpus {
+        let mut b = CorpusBuilder::new(self.model.phi().cols());
+        b.reserve_tokens(self.live_tokens() as usize);
+        for doc in self.docs.values() {
+            b.push_doc(&doc.words);
+        }
+        b.build()
     }
 
     /// Completed training iterations, including those before a resume.
@@ -1188,7 +1188,7 @@ impl StreamingSession {
     /// helpers in `culda-testkit` apply directly.
     pub fn z_snapshot(&self) -> Vec<Vec<u16>> {
         match &self.model {
-            Model::Own { .. } => self.meta.values().map(|m| m.z.clone()).collect(),
+            Model::Own { .. } => self.docs.values().map(|doc| doc.z.clone()).collect(),
             Model::Trainer(trainer) => trainer.z_snapshot(),
         }
     }
@@ -1203,26 +1203,25 @@ impl StreamingSession {
     }
 
     /// Check every count invariant: φ/n_k must be exactly recountable from
-    /// the live assignments, chunk occupancy must sum to the live tokens,
-    /// and the backing trainer (when current) must agree.
+    /// the live assignments, each chunk slot's occupancy must equal the
+    /// tokens of the documents placed on it, and the backing trainer (when
+    /// current) must agree.
     pub fn validate(&self) -> Result<(), String> {
         let k = self.config.num_topics;
         let phi = self.model.phi();
         let mut recount = AtomicMatrix::zeros(k, phi.cols());
         let mut nk = vec![0i64; k];
         let z = self.z_snapshot();
-        if z.len() != self.meta.len() {
+        if z.len() != self.docs.len() {
             return Err(format!(
                 "{} documents hold assignments, {} are live",
                 z.len(),
-                self.meta.len()
+                self.docs.len()
             ));
         }
-        for (uid, z) in self.meta.keys().zip(&z) {
-            let words = self
-                .buffer
-                .words(*uid)
-                .ok_or_else(|| format!("meta references unknown document {uid}"))?;
+        let mut occupancy = vec![0u64; self.chunk_tokens.len()];
+        for ((uid, doc), z) in self.docs.iter().zip(&z) {
+            let words = &doc.words;
             if words.len() != z.len() {
                 return Err(format!(
                     "document {uid} stores {} tokens but {} assignments",
@@ -1230,6 +1229,9 @@ impl StreamingSession {
                     z.len()
                 ));
             }
+            // Ingest places a document on an existing slot and resume checks
+            // the slot bound, so the index is in range.
+            occupancy[doc.chunk] += words.len() as u64;
             for (&w, &t) in words.iter().zip(z) {
                 if t as usize >= k {
                     return Err(format!("document {uid} assigns an out-of-range topic {t}"));
@@ -1252,11 +1254,10 @@ impl StreamingSession {
         if nk != self.global_nk() {
             return Err("n_k does not match a recount of the live assignments".into());
         }
-        let occupancy: u64 = self.chunk_tokens.iter().sum();
-        if occupancy != self.buffer.live_tokens() {
+        if occupancy != self.chunk_tokens {
             return Err(format!(
-                "chunk occupancy sums to {occupancy}, live tokens are {}",
-                self.buffer.live_tokens()
+                "chunk occupancy is {:?}, a recount of the placed documents gives {occupancy:?}",
+                self.chunk_tokens
             ));
         }
         if let Model::Trainer(trainer) = &self.model {
@@ -1506,8 +1507,8 @@ mod tests {
     fn ingest_rejects_uids_beyond_the_keying_bound() {
         let mut session = builder(1).build_streaming().unwrap();
         // Fast-forward the uid stream to the 2^32 boundary, as ~4.3 billion
-        // ingests would (from_parts is the resume path's constructor).
-        session.buffer = culda_corpus::CorpusBuffer::from_parts(0, vec![], (1u64 << 32) - 1);
+        // ingests would.
+        session.next_uid = (1u64 << 32) - 1;
         let last = session.try_ingest(&[Document::new(vec![0u32, 1])]).unwrap();
         assert_eq!(last, vec![(1u64 << 32) - 1]);
         let err = session
@@ -1518,7 +1519,7 @@ mod tests {
             "unexpected error: {err}"
         );
         // The failed call was all-or-nothing: the uid stream did not move.
-        assert_eq!(session.buffer.next_uid(), 1u64 << 32);
+        assert_eq!(session.next_uid, 1u64 << 32);
         session.validate().unwrap();
     }
 

@@ -19,8 +19,8 @@
 //!   §5.1 together with the word-major layout and the document–word map the
 //!   GPU kernels consume (§6.1.2, §6.2);
 //! * [`stats`] — corpus statistics used to print Table 3;
-//! * [`stream`] — the incremental document/vocabulary append path for
-//!   streaming sessions ([`Document`] + the tombstoning [`CorpusBuffer`]);
+//! * [`stream`] — the [`Document`] a streaming session ingests (the session
+//!   itself keeps its live documents);
 //! * [`text`] — raw-text ingestion (tokenisation, stop words, frequency
 //!   pruning) producing a [`Corpus`] + [`Vocabulary`] pair;
 //! * [`holdout`] — train/test splits (document-level and document-completion)
@@ -46,7 +46,7 @@ pub use holdout::{split_documents, DocumentCompletion, DocumentSplit};
 pub use partition::{ChunkLayout, Partitioner};
 pub use snapshot::{load_corpus, save_corpus, SnapshotError};
 pub use stats::CorpusStats;
-pub use stream::{CorpusBuffer, Document};
+pub use stream::Document;
 pub use synthetic::{DatasetProfile, LdaGenerator, SyntheticCorpus};
 pub use text::{TextPipeline, Tokenizer, TokenizerOptions};
 pub use vocab::Vocabulary;

@@ -1,27 +1,14 @@
-//! Incremental document storage for streaming/online training.
+//! Documents for streaming/online training.
 //!
-//! Batch training consumes an immutable [`Corpus`]; the streaming session in
-//! `culda-core` instead grows (and shrinks) its corpus while a model is live.
-//! This module provides the storage layer for that workflow:
-//!
-//! * [`Document`] — one not-yet-ingested document (a sequence of word ids);
-//! * [`CorpusBuffer`] — an append-only document store with tombstone-based
-//!   retirement, vocabulary growth, and compaction.
-//!
-//! Every pushed document receives a **stable uid**: a monotonically
-//! increasing 64-bit identity that is never reused, independent of how
-//! documents are batched into `push` calls and of later retirements.  The
-//! uid is what the streaming trainer keys its counter-based RNG streams by,
-//! which is why ingestion batching cannot change sampled assignments (see
-//! `DESIGN.md` §9).
-//!
-//! Retirement only *tombstones* a document: the storage row stays in place
-//! (so live document order — ascending uid — never changes) until
-//! [`CorpusBuffer::compact`] drops the dead rows.  Compaction is a pure
-//! storage operation: the live view returned by
-//! [`CorpusBuffer::live_corpus`] is identical before and after.
+//! Batch training consumes an immutable [`Corpus`](crate::Corpus); the
+//! streaming session in `culda-core` instead grows (and shrinks) its corpus
+//! while a model is live.  [`Document`] is one not-yet-ingested document (a
+//! sequence of word ids) handed to it.  The session gives each ingested
+//! document a **stable uid** (a monotone 64-bit identity, never reused) and
+//! keys its counter-based RNG streams by it, which is why ingestion
+//! batching cannot change sampled assignments (see `DESIGN.md` §9).
 
-use crate::corpus::{Corpus, CorpusBuilder, WordId};
+use crate::corpus::WordId;
 use serde::{Deserialize, Serialize};
 
 /// A single document handed to a streaming session for ingestion.
@@ -64,284 +51,9 @@ impl From<&[WordId]> for Document {
     }
 }
 
-#[derive(Debug, Clone)]
-struct BufferedDoc {
-    uid: u64,
-    words: Vec<WordId>,
-    alive: bool,
-}
-
-/// An append-only document store with tombstone retirement.
-///
-/// ```
-/// use culda_corpus::stream::CorpusBuffer;
-///
-/// let mut buf = CorpusBuffer::new(4);
-/// let a = buf.push(&[0, 1, 1]);
-/// let b = buf.push(&[2, 3]);
-/// assert_eq!((a, b), (0, 1));
-/// assert_eq!(buf.live_tokens(), 5);
-///
-/// buf.retire(a).unwrap();
-/// assert_eq!(buf.num_live_docs(), 1);
-/// assert!(buf.tombstone_fraction() > 0.5);
-///
-/// buf.compact();
-/// assert_eq!(buf.tombstone_fraction(), 0.0);
-/// assert_eq!(buf.live_corpus().num_docs(), 1);
-/// // uids are never reused, even after compaction.
-/// assert_eq!(buf.push(&[0]), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CorpusBuffer {
-    vocab_size: usize,
-    docs: Vec<BufferedDoc>,
-    next_uid: u64,
-    live_docs: usize,
-    live_tokens: u64,
-    dead_tokens: u64,
-}
-
-impl CorpusBuffer {
-    /// An empty buffer over an initial vocabulary of `vocab_size` words
-    /// (`0` is fine: the vocabulary grows on demand, see
-    /// [`CorpusBuffer::push`]).
-    pub fn new(vocab_size: usize) -> Self {
-        CorpusBuffer {
-            vocab_size,
-            docs: Vec::new(),
-            next_uid: 0,
-            live_docs: 0,
-            live_tokens: 0,
-            dead_tokens: 0,
-        }
-    }
-
-    /// Rebuild a buffer from persisted parts (the streaming-session resume
-    /// path): live documents with their original uids, in ascending uid
-    /// order, plus the uid counter to continue from.
-    ///
-    /// # Panics
-    /// Panics if uids are not strictly ascending or `next_uid` does not
-    /// exceed them all.
-    pub fn from_parts(vocab_size: usize, docs: Vec<(u64, Vec<WordId>)>, next_uid: u64) -> Self {
-        let mut buf = CorpusBuffer::new(vocab_size);
-        let mut prev: Option<u64> = None;
-        for (uid, words) in docs {
-            assert!(
-                prev.is_none_or(|p| p < uid),
-                "buffer uids must be strictly ascending"
-            );
-            assert!(uid < next_uid, "next_uid must exceed every stored uid");
-            prev = Some(uid);
-            buf.live_docs += 1;
-            buf.live_tokens += words.len() as u64;
-            for &w in &words {
-                buf.vocab_size = buf.vocab_size.max(w as usize + 1);
-            }
-            buf.docs.push(BufferedDoc {
-                uid,
-                words,
-                alive: true,
-            });
-        }
-        buf.next_uid = next_uid;
-        buf
-    }
-
-    /// Append a document and return its stable uid.  Word ids beyond the
-    /// current vocabulary grow it (the incremental vocabulary append path:
-    /// new words simply extend the id range, exactly as the UCI formats do
-    /// when a fresh crawl extends the dictionary).
-    pub fn push(&mut self, words: &[WordId]) -> u64 {
-        for &w in words {
-            self.vocab_size = self.vocab_size.max(w as usize + 1);
-        }
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.live_docs += 1;
-        self.live_tokens += words.len() as u64;
-        self.docs.push(BufferedDoc {
-            uid,
-            words: words.to_vec(),
-            alive: true,
-        });
-        uid
-    }
-
-    /// Tombstone a live document.  Returns an error naming the uid when it
-    /// is unknown or already retired.
-    pub fn retire(&mut self, uid: u64) -> Result<(), String> {
-        match self.find(uid) {
-            Some(i) if self.docs[i].alive => {
-                self.docs[i].alive = false;
-                self.live_docs -= 1;
-                let len = self.docs[i].words.len() as u64;
-                self.live_tokens -= len;
-                self.dead_tokens += len;
-                Ok(())
-            }
-            Some(_) => Err(format!("document {uid} is already retired")),
-            None => Err(format!("unknown document uid {uid}")),
-        }
-    }
-
-    fn find(&self, uid: u64) -> Option<usize> {
-        self.docs.binary_search_by_key(&uid, |d| d.uid).ok()
-    }
-
-    /// The tokens of a document (live or tombstoned), if it is still stored.
-    pub fn words(&self, uid: u64) -> Option<&[WordId]> {
-        self.find(uid).map(|i| self.docs[i].words.as_slice())
-    }
-
-    /// Whether `uid` names a live (stored and not retired) document.
-    pub fn is_alive(&self, uid: u64) -> bool {
-        self.find(uid).map(|i| self.docs[i].alive).unwrap_or(false)
-    }
-
-    /// Uids of the live documents, ascending — the document order of
-    /// [`CorpusBuffer::live_corpus`].
-    pub fn live_uids(&self) -> Vec<u64> {
-        self.docs
-            .iter()
-            .filter(|d| d.alive)
-            .map(|d| d.uid)
-            .collect()
-    }
-
-    /// Number of live documents.
-    pub fn num_live_docs(&self) -> usize {
-        self.live_docs
-    }
-
-    /// Tokens across the live documents.
-    pub fn live_tokens(&self) -> u64 {
-        self.live_tokens
-    }
-
-    /// Tokens held by tombstoned rows that have not been compacted away yet.
-    pub fn dead_tokens(&self) -> u64 {
-        self.dead_tokens
-    }
-
-    /// Current vocabulary size (grows with pushed documents, never shrinks).
-    pub fn vocab_size(&self) -> usize {
-        self.vocab_size
-    }
-
-    /// Widen the vocabulary to at least `vocab_size` words (callers that
-    /// ingest a pre-built corpus keep its full id range even when the
-    /// trailing words have no occurrences yet).
-    pub fn ensure_vocab(&mut self, vocab_size: usize) {
-        self.vocab_size = self.vocab_size.max(vocab_size);
-    }
-
-    /// The uid the next pushed document will receive.
-    pub fn next_uid(&self) -> u64 {
-        self.next_uid
-    }
-
-    /// Fraction of stored tokens that belong to tombstoned rows
-    /// (`0.0` for an empty buffer).
-    pub fn tombstone_fraction(&self) -> f64 {
-        let total = self.live_tokens + self.dead_tokens;
-        if total == 0 {
-            0.0
-        } else {
-            self.dead_tokens as f64 / total as f64
-        }
-    }
-
-    /// Drop tombstoned rows from storage.  Live document order (and every
-    /// uid) is unchanged; only the backing memory shrinks.
-    pub fn compact(&mut self) {
-        self.docs.retain(|d| d.alive);
-        self.dead_tokens = 0;
-    }
-
-    /// An immutable [`Corpus`] over the live documents, in ascending uid
-    /// order, with the buffer's current vocabulary size.
-    pub fn live_corpus(&self) -> Corpus {
-        let mut b = CorpusBuilder::new(self.vocab_size);
-        b.reserve_tokens(self.live_tokens as usize);
-        for d in self.docs.iter().filter(|d| d.alive) {
-            b.push_doc(&d.words);
-        }
-        b.build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn push_grows_vocabulary_and_assigns_monotone_uids() {
-        let mut buf = CorpusBuffer::new(2);
-        assert_eq!(buf.push(&[0, 1]), 0);
-        assert_eq!(buf.push(&[5, 5]), 1);
-        assert_eq!(buf.vocab_size(), 6);
-        assert_eq!(buf.num_live_docs(), 2);
-        assert_eq!(buf.live_tokens(), 4);
-        assert_eq!(buf.next_uid(), 2);
-        let corpus = buf.live_corpus();
-        corpus.validate().unwrap();
-        assert_eq!(corpus.vocab_size(), 6);
-    }
-
-    #[test]
-    fn retire_tombstones_without_reordering_live_docs() {
-        let mut buf = CorpusBuffer::new(3);
-        let a = buf.push(&[0]);
-        let b = buf.push(&[1, 1]);
-        let c = buf.push(&[2]);
-        buf.retire(b).unwrap();
-        assert!(!buf.is_alive(b));
-        assert!(buf.is_alive(a) && buf.is_alive(c));
-        assert_eq!(buf.live_uids(), vec![a, c]);
-        assert_eq!(buf.live_corpus().doc(1), &[2]);
-        assert_eq!(buf.dead_tokens(), 2);
-        assert!(buf.retire(b).is_err(), "double retire is rejected");
-        assert!(buf.retire(99).is_err(), "unknown uid is rejected");
-    }
-
-    #[test]
-    fn compact_preserves_the_live_view_and_uid_stream() {
-        let mut buf = CorpusBuffer::new(4);
-        for i in 0..6 {
-            buf.push(&[(i % 4) as u32]);
-        }
-        buf.retire(0).unwrap();
-        buf.retire(3).unwrap();
-        let before = buf.live_corpus();
-        let uids_before = buf.live_uids();
-        buf.compact();
-        assert_eq!(buf.live_corpus(), before);
-        assert_eq!(buf.live_uids(), uids_before);
-        assert_eq!(buf.tombstone_fraction(), 0.0);
-        assert!(buf.words(0).is_none(), "compacted rows are gone");
-        assert_eq!(buf.push(&[1]), 6, "uids continue past retired ones");
-    }
-
-    #[test]
-    fn from_parts_round_trips() {
-        let mut buf = CorpusBuffer::new(2);
-        buf.push(&[0, 1]);
-        buf.push(&[1]);
-        buf.push(&[0]);
-        buf.retire(1).unwrap();
-        buf.compact();
-        let docs: Vec<(u64, Vec<u32>)> = buf
-            .live_uids()
-            .into_iter()
-            .map(|uid| (uid, buf.words(uid).unwrap().to_vec()))
-            .collect();
-        let back = CorpusBuffer::from_parts(buf.vocab_size(), docs, buf.next_uid());
-        assert_eq!(back.live_corpus(), buf.live_corpus());
-        assert_eq!(back.live_uids(), buf.live_uids());
-        assert_eq!(back.next_uid(), buf.next_uid());
-    }
 
     #[test]
     fn document_conversions() {

@@ -17,7 +17,6 @@
 //!   tables and the stale per-word proposal bundle shared by the
 //!   Metropolis–Hastings baselines (WarpLDA, AliasLDA) and `culda-core`'s
 //!   alias-hybrid sampler kernel.
-//! * [`compress`] — 16-bit precision-compression helpers (§6.1.3).
 //! * [`varint`] — LEB128 + delta codecs for the chunk streams that cross the
 //!   PCIe bus under the streamed schedule (§6.1.3's data-size compression).
 //!
@@ -28,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod alias;
-pub mod compress;
 pub mod csr;
 pub mod dense;
 pub mod index_tree;
@@ -37,7 +35,6 @@ pub mod topic;
 pub mod varint;
 
 pub use alias::{AliasTable, StaleAliasProposal};
-pub use compress::{compress_u16, CompressionError};
 pub use csr::{CsrBuilder, CsrMatrix};
 pub use dense::{AtomicMatrix, DenseMatrix};
 pub use index_tree::IndexTree;

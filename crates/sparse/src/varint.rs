@@ -1,8 +1,9 @@
 //! Variable-length integer (LEB128) and delta codecs for corpus chunks.
 //!
 //! §6.1.3 of the paper compresses the data that crosses the PCIe bus under
-//! the streamed schedule (`WorkSchedule2`): besides the 16-bit narrowing in
-//! [`crate::compress`], the token stream itself is highly compressible once
+//! the streamed schedule (`WorkSchedule2`): besides the 16-bit narrowing
+//! (charged as bytes by the cost models' `compress_16bit` setting), the
+//! token stream itself is highly compressible once
 //! it is laid out word-major — the word ids form a non-decreasing sequence
 //! whose deltas are almost always zero, and CSR row pointers are strictly
 //! increasing.  This module provides the byte-oriented codecs used to model

@@ -123,13 +123,6 @@ proptest! {
         prop_assert_eq!(*offsets.last().unwrap(), acc);
     }
 
-    /// 16-bit compression round trips whenever every value fits.
-    #[test]
-    fn compression_round_trip(values in prop::collection::vec(0u32..65536, 0..200)) {
-        let c = culda_sparse::compress_u16(&values).unwrap();
-        prop_assert_eq!(culda_sparse::compress::decompress_u32(&c), values);
-    }
-
     /// LEB128 round trips for arbitrary u32 slices, and the size-only
     /// accounting matches the materialised byte stream.
     #[test]

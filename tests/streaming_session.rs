@@ -6,7 +6,7 @@
 //! into `ingest` calls, which GPU topology ran the bursts, or whether the
 //! process died and resumed from a rotated checkpoint in between.
 
-use culda::core::{LdaConfig, SessionBuilder, StreamingSession};
+use culda::core::{LdaConfig, SamplerStrategy, SessionBuilder, StreamingSession};
 use culda::corpus::Corpus;
 use culda::gpusim::{DeviceSpec, Interconnect, MultiGpuSystem};
 use culda_testkit::fixtures;
@@ -131,33 +131,6 @@ fn retire_then_reingest_conserves_counts() {
     assert_eq!(session.global_phi().total(), tokens_before);
 }
 
-#[test]
-fn compaction_crossing_the_threshold_changes_nothing_observable() {
-    let corpus = corpus();
-    let mut eager = SessionBuilder::new()
-        .config(LdaConfig::with_topics(K).seed(SEED))
-        .system(system(1))
-        .compaction_threshold(0.0) // compact on every retire
-        .build_streaming()
-        .unwrap();
-    let mut lazy = SessionBuilder::new()
-        .config(LdaConfig::with_topics(K).seed(SEED))
-        .system(system(1))
-        .compaction_threshold(0.9) // essentially never compact
-        .build_streaming()
-        .unwrap();
-    for session in [&mut eager, &mut lazy] {
-        let uids = session.ingest(&fixtures::documents_of(&corpus));
-        session.train(2).unwrap();
-        session.retire(&uids[..uids.len() / 2]).unwrap();
-        session.train(2).unwrap();
-        session.validate().unwrap();
-    }
-    assert_eq!(eager.stats().tombstone_fraction, 0.0);
-    assert!(lazy.stats().tombstone_fraction > 0.0);
-    assert_same_state(&eager, &lazy);
-}
-
 /// The acceptance round-trip of ISSUE 4: ingesting a corpus in k
 /// mini-batches, rotating checkpoints, and resuming from the latest must
 /// produce bit-identical z/φ to a single-session run with the same seed —
@@ -270,4 +243,109 @@ fn streaming_with_zero_burn_in_bridges_to_the_batch_trainer() {
 
     assert_eq!(batch.z_snapshot(), stream.z_snapshot());
     assert_eq!(&batch.global_phi(), stream.global_phi());
+}
+
+/// 64-bit FNV-1a over z (each row prefixed with its length), row-major φ
+/// and n_k: a digest of the sampled state, independent of file formats.
+fn state_digest(session: &StreamingSession) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut absorb = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for row in session.z_snapshot() {
+        absorb(&(row.len() as u64).to_le_bytes());
+        for t in row {
+            absorb(&t.to_le_bytes());
+        }
+    }
+    let phi = session.global_phi();
+    absorb(&(phi.cols() as u64).to_le_bytes());
+    for k in 0..phi.rows() {
+        for &count in phi.row(k) {
+            absorb(&count.to_le_bytes());
+        }
+    }
+    for &n in session.global_nk() {
+        absorb(&n.to_le_bytes());
+    }
+    h
+}
+
+/// A sliding-window run (ingest a batch, retire the oldest documents beyond
+/// the window, train) whose retired share of all documents ever ingested
+/// passes a quarter, pinned by state digest per sampler family.  The values
+/// were recorded with the earlier tombstoning document store, which
+/// compacted itself three times during this run: the session's membership
+/// bookkeeping must keep every bit of z, φ and n_k of that history.
+#[test]
+fn sliding_window_trajectory_is_pinned_across_retires() {
+    let docs = fixtures::documents_of(&corpus());
+    let batch = docs.len() / 6;
+    let window = 2 * batch;
+    for (sampler, pinned) in [
+        (SamplerStrategy::SparseCgs, 0xe5aa_9299_1a5b_eae5),
+        (SamplerStrategy::light_lda(), 0xc7db_3cc3_a9f7_df56),
+        (SamplerStrategy::alias_hybrid(), 0xfc7f_2cbe_02ed_99c7),
+    ] {
+        let mut session = SessionBuilder::new()
+            .config(LdaConfig::with_topics(K).seed(SEED).sampler(sampler))
+            .system(system(1))
+            .build_streaming()
+            .unwrap();
+        for chunk in docs.chunks(batch) {
+            session.ingest(chunk);
+            let live = session.live_uids();
+            if live.len() > window {
+                session.retire(&live[..live.len() - window]).unwrap();
+            }
+            session.train(2).unwrap();
+        }
+        session.validate().unwrap();
+        let stats = session.stats();
+        assert!(4 * stats.retired_docs > stats.ingested_docs, "{stats:?}");
+        assert_eq!(state_digest(&session), pinned, "{sampler}");
+    }
+}
+
+/// A crash while a rotation set is written, after its `.cldc` and `.meta`
+/// but before its model file is renamed into place, leaves a torn
+/// `.cldm.tmp`.  Discovery must skip that set, and a resume from the set
+/// before it must continue bit-exactly.
+#[test]
+fn a_torn_model_file_never_becomes_the_latest_set() {
+    use culda::core::checkpoint::rotation;
+    let dir = tmp_dir("torn");
+    let mut session = streaming(1);
+    session.ingest(&fixtures::documents_of(&corpus()));
+    session.train(2).unwrap();
+    let first = session.rotate_checkpoints(&dir, 3).unwrap();
+    assert!(first.with_extension(rotation::MODEL_EXT).exists());
+    assert!(!first.with_extension(rotation::MODEL_TMP_EXT).exists());
+    session.train(1).unwrap();
+    let second = session.rotate_checkpoints(&dir, 3).unwrap();
+    // Fake the crash: the second set's model never got its final name, and
+    // only half of it reached the disk.
+    let model = second.with_extension(rotation::MODEL_EXT);
+    let bytes = std::fs::read(&model).unwrap();
+    std::fs::remove_file(&model).unwrap();
+    std::fs::write(
+        second.with_extension(rotation::MODEL_TMP_EXT),
+        &bytes[..bytes.len() / 2],
+    )
+    .unwrap();
+    assert!(second.with_extension(rotation::CORPUS_EXT).exists());
+    assert!(second.with_extension(rotation::META_EXT).exists());
+
+    let latest = rotation::latest(&dir).unwrap().unwrap();
+    assert_eq!(dir.join(&latest.stem), first);
+    let mut resumed = StreamingSession::resume(&dir, system(1)).unwrap();
+    assert_eq!(resumed.completed_iterations(), 2);
+    resumed.train(3).unwrap();
+    session.train(2).unwrap();
+    assert_same_state(&session, &resumed);
+    resumed.validate().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
