@@ -777,19 +777,6 @@ pub fn stream(args: &ParsedArgs) -> Result<String, CliError> {
         )
         .unwrap();
     }
-    let occupancy: Vec<String> = s
-        .chunk_tokens
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("chunk{i}={t}"))
-        .collect();
-    writeln!(
-        out,
-        "  chunk occupancy: {} (imbalance {:.2})",
-        occupancy.join(" "),
-        s.chunk_imbalance()
-    )
-    .unwrap();
     Ok(out)
 }
 

@@ -162,7 +162,6 @@ fn stream_ingest_retire_rotate_resume_round_trip() {
         ])
         .assert()
         .success()
-        .stdout_contains("chunk occupancy:")
         .stdout_contains("retired")
         .stdout_contains("checkpoint sets rotated");
     let sets: Vec<_> = std::fs::read_dir(&ckpts)

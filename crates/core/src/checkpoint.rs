@@ -624,7 +624,7 @@ impl ModelCheckpoint {
 /// complete set with the highest sequence number.
 pub mod rotation {
     use std::io;
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
 
     /// Extension of the CLDM checkpoint model file.
     pub const MODEL_EXT: &str = "cldm";
@@ -662,13 +662,7 @@ pub mod rotation {
     /// A missing directory reads as empty.
     pub fn list(dir: &Path) -> io::Result<Vec<RotationEntry>> {
         let mut entries = Vec::new();
-        let read_dir = match std::fs::read_dir(dir) {
-            Ok(rd) => rd,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(entries),
-            Err(e) => return Err(e),
-        };
-        for entry in read_dir {
-            let path = entry?.path();
+        for path in files(dir)? {
             if path.extension().and_then(|e| e.to_str()) != Some(MODEL_EXT) {
                 continue;
             }
@@ -690,19 +684,37 @@ pub mod rotation {
         Ok(entries)
     }
 
+    /// The paths in `dir`; a missing directory reads as empty.
+    fn files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+        match std::fs::read_dir(dir) {
+            Ok(rd) => rd.map(|entry| entry.map(|e| e.path())).collect(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+            Err(e) => Err(e),
+        }
+    }
+
     /// The most recent complete rotation set in `dir`, if any.
     pub fn latest(dir: &Path) -> io::Result<Option<RotationEntry>> {
         Ok(list(dir)?.pop())
     }
 
-    /// Delete all but the `keep_last` most recent complete sets.  Returns
-    /// how many sets were pruned.
+    /// Delete all but the `keep_last` most recent complete sets, and every
+    /// other rotation file: the `.cldc`, `.meta` and `.cldm.tmp` a crashed
+    /// rotation left behind.  A file goes unless its whole stem names a
+    /// kept set, since a resumed session can reuse a torn set's sequence
+    /// number at a different iteration count.  Returns how many complete
+    /// sets were pruned.
     pub fn prune(dir: &Path, keep_last: usize) -> io::Result<usize> {
         let entries = list(dir)?;
         let excess = entries.len().saturating_sub(keep_last);
-        for entry in &entries[..excess] {
-            for ext in [MODEL_EXT, CORPUS_EXT, META_EXT] {
-                let path = dir.join(&entry.stem).with_extension(ext);
+        let kept: Vec<&str> = entries[excess..].iter().map(|e| e.stem.as_str()).collect();
+        for path in files(dir)? {
+            let Some((stem, ext)) = path.file_name().and_then(|n| n.to_str()?.split_once('.'))
+            else {
+                continue;
+            };
+            let rotation_file = [MODEL_EXT, MODEL_TMP_EXT, CORPUS_EXT, META_EXT].contains(&ext);
+            if rotation_file && parse_stem(stem).is_some() && !kept.contains(&stem) {
                 match std::fs::remove_file(&path) {
                     Ok(()) => {}
                     Err(e) if e.kind() == io::ErrorKind::NotFound => {}

@@ -192,10 +192,11 @@ impl ChunkState {
     /// Callers must have validated that the snapshot covers this chunk's
     /// documents with the right lengths and in-range topics.  Adds into
     /// φ / n_k like [`ChunkState::random_init_stable`].
-    pub fn init_from_assignments(&self, z: &[Vec<u16>]) {
+    pub fn init_from_assignments<R: AsRef<[u16]>>(&self, z: &[R]) {
         let first_doc = self.layout.range.start;
         self.init_word_major(|pos| {
-            z[first_doc + self.layout.token_doc[pos] as usize][self.token_slot[pos] as usize]
+            let doc = z[first_doc + self.layout.token_doc[pos] as usize].as_ref();
+            doc[self.token_slot[pos] as usize]
         });
     }
 

@@ -363,22 +363,25 @@ impl SessionBuilder {
 }
 
 /// A point-in-time summary of a streaming session.
+///
+/// Every field is derived when the summary is taken, from the document
+/// store, the uid stream, the iteration history or the query tier; the
+/// session keeps no counter beside them.  Lifetime figures count across
+/// resumes, the per-burst sums cover this process's training only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionStats {
     /// Live (non-retired) documents.
     pub live_docs: usize,
     /// Tokens across the live documents.
     pub live_tokens: u64,
-    /// Documents ingested over the session's lifetime.
+    /// Documents ingested over the session's lifetime: the uid stream's
+    /// position, since uids are never reused.
     pub ingested_docs: u64,
-    /// Documents retired over the session's lifetime.
+    /// Documents retired over the session's lifetime (ingested minus live).
     pub retired_docs: u64,
-    /// Live tokens per session chunk slot (the least-loaded-chunk placement
-    /// target of [`StreamingSession::ingest`]).
-    pub chunk_tokens: Vec<u64>,
     /// Completed training iterations (across resumes).
     pub iterations: u64,
-    /// Accumulated simulated training time.
+    /// Simulated training time of this process's bursts.
     pub sim_time_s: f64,
     /// Bytes the φ syncs of this process's bursts moved over intra-node
     /// links (all the sync traffic on a single-node system).
@@ -405,19 +408,6 @@ pub struct SessionStats {
     pub snapshot_epoch: u64,
 }
 
-impl SessionStats {
-    /// Max-over-mean occupancy of the session chunk slots (1.0 = perfectly
-    /// balanced ingestion, like `Partitioner::imbalance`).
-    pub fn chunk_imbalance(&self) -> f64 {
-        let max = *self.chunk_tokens.iter().max().unwrap_or(&0) as f64;
-        let sum: u64 = self.chunk_tokens.iter().sum();
-        if sum == 0 {
-            return 1.0;
-        }
-        max / (sum as f64 / self.chunk_tokens.len() as f64)
-    }
-}
-
 /// One live document of a streaming session.
 #[derive(Debug, Clone)]
 struct Doc {
@@ -425,8 +415,6 @@ struct Doc {
     words: Vec<u32>,
     /// Topic assignment of every token, original document order.
     z: Vec<u16>,
-    /// Session chunk slot the document was placed on at ingest.
-    chunk: usize,
 }
 
 /// Where the authoritative φ / `n_k` (and z) live between calls.
@@ -483,8 +471,8 @@ struct Views {
 /// A live LDA model that grows and shrinks while training.
 ///
 /// Owns the authoritative global state between training bursts: every live
-/// document's words, topic assignments and chunk slot under its stable uid,
-/// and the global φ / `n_k` counts.  Training itself is delegated to the
+/// document's words and topic assignments under its stable uid, and the
+/// global φ / `n_k` counts.  Training itself is delegated to the
 /// batch trainer: whenever the membership changed since the last burst, the
 /// trainer is rebuilt from the live corpus and the current assignments (an
 /// exact state hand-off, so the rebuild is invisible to the sampled
@@ -514,14 +502,9 @@ pub struct StreamingSession {
     /// The last published frozen model, until φ / `n_k` next change.
     published: Option<Arc<TopicInferencer>>,
     views: Views,
-    /// Live tokens per session chunk slot.
-    chunk_tokens: Vec<u64>,
     iterations_done: u64,
-    sim_time_s: f64,
-    /// Lifetime per-tier φ sync traffic of this process's bursts (intra-node
-    /// links vs the inter-node fabric).
-    intra_sync_bytes: u64,
-    inter_sync_bytes: u64,
+    /// Per-iteration statistics of this process's bursts; the simulated
+    /// time and sync traffic [`StreamingSession::stats`] reports sum it.
     history: Vec<IterationStats>,
     /// Checkpointed sampler-internal state awaiting the first trainer build
     /// after a resume.  Cleared by ingest/retire: once the membership
@@ -529,8 +512,6 @@ pub struct StreamingSession {
     /// (and its sampler state) from scratch, so restoring the snapshot
     /// would *diverge* from it rather than match it.
     resume_sampler_state: Option<SamplerResumeState>,
-    ingested_docs: u64,
-    retired_docs: u64,
     checkpoints_written: u64,
     /// The query tier's publication cell, shared with every
     /// [`ModelSnapshots`] handle ([`StreamingSession::snapshots`]).
@@ -539,7 +520,6 @@ pub struct StreamingSession {
 
 impl StreamingSession {
     fn empty(config: LdaConfig, system: MultiGpuSystem, opts: StreamingOptions) -> Self {
-        let slots = system.num_gpus() * config.chunks_per_gpu.unwrap_or(1);
         let k = config.num_topics;
         let sampler = sampler_for(&config);
         StreamingSession {
@@ -552,15 +532,9 @@ impl StreamingSession {
             },
             published: None,
             views: Views::default(),
-            chunk_tokens: vec![0u64; slots.max(1)],
             iterations_done: 0,
-            sim_time_s: 0.0,
-            intra_sync_bytes: 0,
-            inter_sync_bytes: 0,
             history: Vec::new(),
             resume_sampler_state: None,
-            ingested_docs: 0,
-            retired_docs: 0,
             checkpoints_written: 0,
             serve: Arc::new(SnapshotShared::new()),
             config,
@@ -581,10 +555,10 @@ impl StreamingSession {
     /// Each document, **sequentially in arrival order**: receives the next
     /// stable uid; grows the vocabulary if it introduces new word ids; gets
     /// a stable random topic per token (the same counter-based draw the
-    /// batch trainer's initialisation uses, keyed by `(uid, slot)`); is
-    /// placed on the least-loaded session chunk slot; and is burnt in with
-    /// [`StreamingOptions::burn_in_sweeps`] collapsed-Gibbs sweeps against
-    /// the current global φ, with every draw keyed by `(uid, slot)` as well.
+    /// batch trainer's initialisation uses, keyed by `(uid, slot)`); and is
+    /// burnt in with [`StreamingOptions::burn_in_sweeps`] collapsed-Gibbs
+    /// sweeps against the current global φ, with every draw keyed by
+    /// `(uid, slot)` as well.
     /// Because nothing depends on the grouping into `ingest` calls, results
     /// are bit-exact regardless of ingestion batching.
     ///
@@ -682,19 +656,8 @@ impl StreamingSession {
             );
         }
 
-        // Least-loaded chunk placement (ties go to the lowest slot).
-        let chunk = self
-            .chunk_tokens
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &t)| (t, i))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.chunk_tokens[chunk] += doc.words.len() as u64;
-
         let words = doc.words.clone();
-        self.docs.insert(uid, Doc { words, z, chunk });
-        self.ingested_docs += 1;
+        self.docs.insert(uid, Doc { words, z });
         self.model_changed();
         // A membership change invalidates any checkpointed sampler state:
         // the uninterrupted run rebuilds its sampler from scratch here too.
@@ -703,8 +666,8 @@ impl StreamingSession {
     }
 
     /// Retire documents: subtract each document's topic counts from the
-    /// global φ / `n_k`, free its chunk slot occupancy, and drop it from the
-    /// store.  The live documents keep their ascending uid order.
+    /// global φ / `n_k` and drop it from the store.  The live documents
+    /// keep their ascending uid order.
     ///
     /// Fails without side effects if any uid is unknown, already retired,
     /// or listed more than once.
@@ -734,8 +697,6 @@ impl StreamingSession {
                 *phi.get_mut(t, w as usize) -= 1;
                 nk[t] -= 1;
             }
-            self.chunk_tokens[doc.chunk] -= doc.words.len() as u64;
-            self.retired_docs += 1;
         }
         self.model_changed();
         self.resume_sampler_state = None;
@@ -752,7 +713,7 @@ impl StreamingSession {
                 ));
             }
             let corpus = self.live_corpus();
-            let z: Vec<Vec<u16>> = self.docs.values().map(|doc| doc.z.clone()).collect();
+            let z: Vec<&[u16]> = self.docs.values().map(|doc| doc.z.as_slice()).collect();
             // Consume any checkpointed sampler state on this first build
             // after a resume (later rebuilds are membership changes, which
             // cleared it).
@@ -785,9 +746,6 @@ impl StreamingSession {
         let stats = self.ensure_trainer()?.run_iteration();
         self.model_changed();
         self.iterations_done += 1;
-        self.sim_time_s += stats.sim_time_s;
-        self.intra_sync_bytes += stats.intra_sync_bytes;
-        self.inter_sync_bytes += stats.inter_sync_bytes;
         self.history.push(stats);
         Ok(stats)
     }
@@ -901,9 +859,9 @@ impl StreamingSession {
     /// Write a rotated checkpoint set into `dir` and prune old ones so at
     /// most `keep_last` remain.  A set is three files sharing a stem
     /// ([`rotation::stem`]): the CLDM checkpoint model (`.cldm`), the live
-    /// corpus snapshot (`.cldc`), and the session metadata (`.meta` — stable
-    /// uids, chunk placement, lifetime counters).  Returns the stem path of
-    /// the new set.
+    /// corpus snapshot (`.cldc`), and the session metadata (`.meta` — the
+    /// uid stream position, the next rotation's sequence number and the
+    /// live uids).  Returns the stem path of the new set.
     pub fn rotate_checkpoints(
         &mut self,
         dir: impl AsRef<Path>,
@@ -937,16 +895,12 @@ impl StreamingSession {
         w.write_all(META_MAGIC)?;
         w.write_all(&META_VERSION.to_le_bytes())?;
         w.write_all(&self.next_uid.to_le_bytes())?;
-        w.write_all(&self.ingested_docs.to_le_bytes())?;
-        w.write_all(&self.retired_docs.to_le_bytes())?;
         // The rotation being written is number `checkpoints_written`; a
         // session resumed from it must continue the sequence *after* it.
         w.write_all(&(self.checkpoints_written + 1).to_le_bytes())?;
-        w.write_all(&(self.chunk_tokens.len() as u64).to_le_bytes())?;
         w.write_all(&(self.docs.len() as u64).to_le_bytes())?;
-        for (uid, doc) in &self.docs {
+        for uid in self.docs.keys() {
             w.write_all(&uid.to_le_bytes())?;
-            w.write_all(&(doc.chunk as u32).to_le_bytes())?;
         }
         w.flush()
     }
@@ -1003,12 +957,12 @@ impl StreamingSession {
         let z = ckpt.z.clone().ok_or_else(|| {
             SessionError::State("checkpoint stores no assignment state; cannot resume".into())
         })?;
-        if corpus.num_docs() != z.len() || corpus.num_docs() != meta.docs.len() {
+        if corpus.num_docs() != z.len() || corpus.num_docs() != meta.uids.len() {
             return Err(SessionError::State(format!(
                 "rotation set is inconsistent: corpus has {} documents, z {}, meta {}",
                 corpus.num_docs(),
                 z.len(),
-                meta.docs.len()
+                meta.uids.len()
             )));
         }
         if corpus.vocab_size() != ckpt.vocab_size {
@@ -1049,7 +1003,7 @@ impl StreamingSession {
         // ascending uid order the corpus file's order, and keeps later
         // ingests from reusing a uid.
         let mut prev: Option<u64> = None;
-        for &(uid, _) in &meta.docs {
+        for &uid in &meta.uids {
             if prev.is_some_and(|p| p >= uid) || uid >= meta.next_uid {
                 return Err(SessionError::State(format!(
                     "session meta is corrupt: document uid {uid} breaks the \
@@ -1061,15 +1015,8 @@ impl StreamingSession {
         }
 
         let mut session = StreamingSession::empty(config, system, opts);
-        session.chunk_tokens = vec![0u64; meta.num_chunks.max(1)];
         session.next_uid = meta.next_uid;
-        for ((&(uid, chunk), row), d) in meta.docs.iter().zip(z).zip(0..corpus.num_docs()) {
-            if chunk as usize >= session.chunk_tokens.len() {
-                return Err(SessionError::State(format!(
-                    "meta assigns document {uid} to chunk {chunk}, but only {} slots exist",
-                    session.chunk_tokens.len()
-                )));
-            }
+        for ((&uid, row), d) in meta.uids.iter().zip(z).zip(0..corpus.num_docs()) {
             if row.len() != corpus.doc_len(d) {
                 return Err(SessionError::State(format!(
                     "z row for document {uid} has {} tokens, corpus stores {}",
@@ -1077,15 +1024,8 @@ impl StreamingSession {
                     corpus.doc_len(d)
                 )));
             }
-            session.chunk_tokens[chunk as usize] += row.len() as u64;
-            session.docs.insert(
-                uid,
-                Doc {
-                    words: corpus.doc(d).to_vec(),
-                    z: row,
-                    chunk: chunk as usize,
-                },
-            );
+            let words = corpus.doc(d).to_vec();
+            session.docs.insert(uid, Doc { words, z: row });
         }
         session.model = Model::Own {
             phi: AtomicMatrix::from_dense(&ckpt.phi),
@@ -1093,27 +1033,24 @@ impl StreamingSession {
         };
         session.resume_sampler_state = ckpt.sampler_state;
         session.iterations_done = ckpt.iterations;
-        session.ingested_docs = meta.ingested_docs;
-        session.retired_docs = meta.retired_docs;
         session.checkpoints_written = meta.checkpoints_written;
         session.validate().map_err(SessionError::State)?;
         Ok(session)
     }
 
-    /// A point-in-time summary (live documents/tokens, chunk occupancy,
-    /// lifetime counters).
+    /// A point-in-time summary (live documents/tokens, lifetime counts,
+    /// this process's simulated time and sync traffic, the query tier).
     pub fn stats(&self) -> SessionStats {
         let query = self.serve.query_stats();
         SessionStats {
             live_docs: self.docs.len(),
             live_tokens: self.live_tokens(),
-            ingested_docs: self.ingested_docs,
-            retired_docs: self.retired_docs,
-            chunk_tokens: self.chunk_tokens.clone(),
+            ingested_docs: self.next_uid,
+            retired_docs: self.next_uid - self.docs.len() as u64,
             iterations: self.iterations_done,
-            sim_time_s: self.sim_time_s,
-            intra_sync_bytes: self.intra_sync_bytes,
-            inter_sync_bytes: self.inter_sync_bytes,
+            sim_time_s: self.sim_time_s(),
+            intra_sync_bytes: self.history.iter().map(|h| h.intra_sync_bytes).sum(),
+            inter_sync_bytes: self.history.iter().map(|h| h.inter_sync_bytes).sum(),
             checkpoints_written: self.checkpoints_written,
             vocab_size: self.model.phi().cols(),
             queries_served: query.queries,
@@ -1136,7 +1073,7 @@ impl StreamingSession {
 
     /// Tokens across the live documents.
     fn live_tokens(&self) -> u64 {
-        self.chunk_tokens.iter().sum()
+        self.docs.values().map(|doc| doc.words.len() as u64).sum()
     }
 
     /// The live documents as a [`Corpus`], ascending uid order, over φ's
@@ -1157,7 +1094,9 @@ impl StreamingSession {
 
     /// Accumulated simulated training time of this process's bursts.
     pub fn sim_time_s(&self) -> f64 {
-        self.sim_time_s
+        // A fold from +0.0, not `sum()`: an empty `f64` sum is −0.0, which
+        // prints as `-0.000`.
+        self.history.iter().fold(0.0, |a, h| a + h.sim_time_s)
     }
 
     /// Per-iteration statistics of this process's training bursts.
@@ -1203,9 +1142,8 @@ impl StreamingSession {
     }
 
     /// Check every count invariant: φ/n_k must be exactly recountable from
-    /// the live assignments, each chunk slot's occupancy must equal the
-    /// tokens of the documents placed on it, and the backing trainer (when
-    /// current) must agree.
+    /// the live assignments, and the backing trainer (when current) must
+    /// agree.
     pub fn validate(&self) -> Result<(), String> {
         let k = self.config.num_topics;
         let phi = self.model.phi();
@@ -1219,7 +1157,6 @@ impl StreamingSession {
                 self.docs.len()
             ));
         }
-        let mut occupancy = vec![0u64; self.chunk_tokens.len()];
         for ((uid, doc), z) in self.docs.iter().zip(&z) {
             let words = &doc.words;
             if words.len() != z.len() {
@@ -1229,9 +1166,6 @@ impl StreamingSession {
                     z.len()
                 ));
             }
-            // Ingest places a document on an existing slot and resume checks
-            // the slot bound, so the index is in range.
-            occupancy[doc.chunk] += words.len() as u64;
             for (&w, &t) in words.iter().zip(z) {
                 if t as usize >= k {
                     return Err(format!("document {uid} assigns an out-of-range topic {t}"));
@@ -1254,12 +1188,6 @@ impl StreamingSession {
         if nk != self.global_nk() {
             return Err("n_k does not match a recount of the live assignments".into());
         }
-        if occupancy != self.chunk_tokens {
-            return Err(format!(
-                "chunk occupancy is {:?}, a recount of the placed documents gives {occupancy:?}",
-                self.chunk_tokens
-            ));
-        }
         if let Model::Trainer(trainer) = &self.model {
             trainer.validate()?;
         }
@@ -1275,18 +1203,17 @@ const MAX_KEYED_UID: u64 = 1 << 32;
 
 /// Magic bytes of the session metadata sidecar.
 const META_MAGIC: &[u8; 4] = b"CLSM";
-/// Current metadata format version.
-const META_VERSION: u32 = 1;
+/// Current metadata format version.  Version 2 keeps only what cannot be
+/// derived: the uid stream position, the next rotation's sequence number
+/// and the live uids.  Version 1 files are still read.
+const META_VERSION: u32 = 2;
 
 /// Parsed `.meta` sidecar of one rotation set.
 struct SessionMeta {
     next_uid: u64,
-    ingested_docs: u64,
-    retired_docs: u64,
     checkpoints_written: u64,
-    num_chunks: usize,
-    /// `(uid, chunk)` per live document, ascending uid order.
-    docs: Vec<(u64, u32)>,
+    /// The live uids, ascending.
+    uids: Vec<u64>,
 }
 
 impl SessionMeta {
@@ -1301,30 +1228,37 @@ impl SessionMeta {
             )));
         }
         let version = read_u32(&mut r)?;
-        if version != META_VERSION {
+        if version != 1 && version != META_VERSION {
             return Err(SessionError::State(format!(
                 "unsupported session meta version {version}"
             )));
         }
+        let v1 = version == 1;
         let next_uid = read_u64(&mut r)?;
-        let ingested_docs = read_u64(&mut r)?;
-        let retired_docs = read_u64(&mut r)?;
+        if v1 {
+            // The ingested and retired counters, which the uid stream and
+            // the live uids give.
+            read_u64(&mut r)?;
+            read_u64(&mut r)?;
+        }
         let checkpoints_written = read_u64(&mut r)?;
-        let num_chunks = read_u64(&mut r)? as usize;
-        let num_docs = read_u64(&mut r)? as usize;
-        let mut docs = Vec::with_capacity(num_docs.min(1 << 20));
+        if v1 {
+            // The session chunk count, which nothing reads.
+            read_u64(&mut r)?;
+        }
+        let num_docs = read_u64(&mut r)?;
+        let mut uids = Vec::with_capacity(num_docs.min(1 << 20) as usize);
         for _ in 0..num_docs {
-            let uid = read_u64(&mut r)?;
-            let chunk = read_u32(&mut r)?;
-            docs.push((uid, chunk));
+            uids.push(read_u64(&mut r)?);
+            if v1 {
+                // The document's session chunk slot.
+                read_u32(&mut r)?;
+            }
         }
         Ok(SessionMeta {
             next_uid,
-            ingested_docs,
-            retired_docs,
             checkpoints_written,
-            num_chunks,
-            docs,
+            uids,
         })
     }
 }
@@ -1727,20 +1661,5 @@ mod tests {
         session.validate().unwrap();
         session.run_iteration().unwrap();
         session.validate().unwrap();
-    }
-
-    #[test]
-    fn least_loaded_placement_balances_chunks() {
-        let mut session = SessionBuilder::new()
-            .config(LdaConfig::with_topics(4).seed(6).chunks_per_gpu(2))
-            .system(MultiGpuSystem::single(DeviceSpec::v100_volta(), 6))
-            .build_streaming()
-            .unwrap();
-        for i in 0..20 {
-            session.ingest(&[Document::new(vec![(i % 5) as u32; 6])]);
-        }
-        let stats = session.stats();
-        assert_eq!(stats.chunk_tokens.len(), 2);
-        assert!(stats.chunk_imbalance() < 1.05, "{:?}", stats.chunk_tokens);
     }
 }

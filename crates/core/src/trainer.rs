@@ -76,7 +76,6 @@ pub struct CuLdaTrainer {
     vocab_size: usize,
     num_docs: usize,
     total_tokens: u64,
-    sim_time_s: f64,
     history: Vec<IterationStats>,
     /// Iterations completed before this trainer was constructed (non-zero
     /// only when resumed from a checkpoint); keeps the counter-based RNG's
@@ -103,28 +102,29 @@ impl CuLdaTrainer {
     /// streams from, and `sampler_state` optionally replays checkpointed
     /// sampler-internal state (e.g. the alias hybrid's stale tables) into
     /// the freshly built sampler so a mid-cadence resume is bit-exact.
-    pub(crate) fn from_parts(
+    pub(crate) fn from_parts<R: AsRef<[u16]>>(
         corpus: &Corpus,
         config: LdaConfig,
         system: MultiGpuSystem,
-        init: Option<(&[Vec<u16>], u64)>,
+        init: Option<(&[R], u64)>,
         sampler_state: Option<&SamplerResumeState>,
     ) -> Result<Self, TrainerError> {
-        match init {
-            None => Self::build(corpus, config, system, None, sampler_state),
+        let start_iteration = match init {
+            None => 0,
             Some((z, start_iteration)) => {
                 Self::validate_assignments(corpus, &config, z)?;
-                let mut trainer = Self::build(corpus, config, system, Some(z), sampler_state)?;
-                trainer.base_iteration = start_iteration;
-                Ok(trainer)
+                start_iteration
             }
-        }
+        };
+        let mut trainer = Self::build(corpus, config, system, init.map(|(z, _)| z), sampler_state)?;
+        trainer.base_iteration = start_iteration;
+        Ok(trainer)
     }
 
-    fn validate_assignments(
+    fn validate_assignments<R: AsRef<[u16]>>(
         corpus: &Corpus,
         config: &LdaConfig,
-        z: &[Vec<u16>],
+        z: &[R],
     ) -> Result<(), TrainerError> {
         if z.len() != corpus.num_docs() {
             return Err(TrainerError::InvalidConfig(format!(
@@ -133,7 +133,7 @@ impl CuLdaTrainer {
                 corpus.num_docs()
             )));
         }
-        for (d, zd) in z.iter().enumerate() {
+        for (d, zd) in z.iter().map(AsRef::as_ref).enumerate() {
             if zd.len() != corpus.doc(d).len() {
                 return Err(TrainerError::InvalidConfig(format!(
                     "assignment snapshot row {d} has {} tokens, document has {}",
@@ -151,11 +151,11 @@ impl CuLdaTrainer {
         Ok(())
     }
 
-    fn build(
+    fn build<R: AsRef<[u16]>>(
         corpus: &Corpus,
         mut config: LdaConfig,
         system: MultiGpuSystem,
-        init: Option<&[Vec<u16>]>,
+        init: Option<&[R]>,
         sampler_state: Option<&SamplerResumeState>,
     ) -> Result<Self, TrainerError> {
         config.validate().map_err(TrainerError::InvalidConfig)?;
@@ -249,7 +249,6 @@ impl CuLdaTrainer {
             work_items,
             schedule,
             sync_plan,
-            sim_time_s: 0.0,
             history: Vec::new(),
             base_iteration: 0,
             auto_tune_shards,
@@ -429,7 +428,9 @@ impl CuLdaTrainer {
 
     /// Accumulated simulated training time.
     pub fn sim_time_s(&self) -> f64 {
-        self.sim_time_s
+        // A fold from +0.0, not `sum()`: an empty `f64` sum is −0.0, which
+        // prints as `-0.000`.
+        self.history.iter().fold(0.0, |a, h| a + h.sim_time_s)
     }
 
     /// Per-iteration statistics recorded so far.
@@ -465,7 +466,6 @@ impl CuLdaTrainer {
                 .predict_steady_compute_s(stats.compute_time_s, stats.sampler_setup_time_s);
             self.sync_plan = self.auto_tune_sync_plan(steady);
         }
-        self.sim_time_s += stats.sim_time_s;
         self.history.push(stats);
         stats
     }
@@ -636,7 +636,7 @@ mod tests {
         config: LdaConfig,
         system: MultiGpuSystem,
     ) -> Result<CuLdaTrainer, TrainerError> {
-        CuLdaTrainer::from_parts(corpus, config, system, None, None)
+        CuLdaTrainer::from_parts(corpus, config, system, None::<(&[Vec<u16>], u64)>, None)
     }
 
     fn small_corpus() -> Corpus {

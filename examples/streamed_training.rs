@@ -68,8 +68,9 @@ fn main() {
     }
 
     // 3. Where did the time go?  Transfer share of the iteration time
-    //    (guarded: a session that never trained has no simulated time) and
-    //    the chunk occupancy of the session's least-loaded-slot placement.
+    //    (guarded: a session that never trained has no simulated time), and
+    //    the session's document counts.  The chunks are the trainer's: it
+    //    splits the live corpus by token count at every rebuild.
     let stats = session.stats();
     let transfer: f64 = session.history().iter().map(|h| h.transfer_time_s).sum();
     let total = session.sim_time_s();
@@ -89,17 +90,6 @@ fn main() {
         stats.retired_docs,
         stats.checkpoints_written,
         ckpt_dir.display()
-    );
-    let occupancy: Vec<String> = stats
-        .chunk_tokens
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("chunk{i}={t}"))
-        .collect();
-    println!(
-        "chunk occupancy: {} (imbalance {:.3})",
-        occupancy.join(" "),
-        stats.chunk_imbalance()
     );
 
     // 4. The rotated checkpoints are live: resume the newest one and verify

@@ -6,7 +6,7 @@
 //! into `ingest` calls, which GPU topology ran the bursts, or whether the
 //! process died and resumed from a rotated checkpoint in between.
 
-use culda::core::{LdaConfig, SamplerStrategy, SessionBuilder, StreamingSession};
+use culda::core::{LdaConfig, ModelCheckpoint, SamplerStrategy, SessionBuilder, StreamingSession};
 use culda::corpus::Corpus;
 use culda::gpusim::{DeviceSpec, Interconnect, MultiGpuSystem};
 use culda_testkit::fixtures;
@@ -347,5 +347,140 @@ fn a_torn_model_file_never_becomes_the_latest_set() {
     session.train(2).unwrap();
     assert_same_state(&session, &resumed);
     resumed.validate().unwrap();
+
+    // The resumed session reuses the torn set's sequence number under
+    // another iteration count; its rotation prunes the torn files.
+    let third = resumed.rotate_checkpoints(&dir, 3).unwrap();
+    assert_ne!(third, second);
+    for ext in [
+        rotation::MODEL_EXT,
+        rotation::MODEL_TMP_EXT,
+        rotation::CORPUS_EXT,
+        rotation::META_EXT,
+    ] {
+        assert!(!second.with_extension(ext).exists(), "{ext} survived");
+    }
+    let kept: Vec<PathBuf> = rotation::list(&dir)
+        .unwrap()
+        .into_iter()
+        .map(|e| dir.join(e.stem))
+        .collect();
+    assert_eq!(kept, vec![first, third]);
+    for stem in &kept {
+        ModelCheckpoint::load(stem.with_extension(rotation::MODEL_EXT)).unwrap();
+        culda::corpus::load_corpus(stem.with_extension(rotation::CORPUS_EXT)).unwrap();
+    }
+    let mut again = StreamingSession::resume(&dir, system(1)).unwrap();
+    again.train(2).unwrap();
+    session.train(2).unwrap();
+    assert_same_state(&session, &again);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The version-1 `.meta` layout: magic, version, `next_uid`, the ingested
+/// and retired counters, the next rotation's sequence number, a chunk
+/// count, the live document count, then `(uid u64, chunk u32)` per live
+/// document.
+fn v1_meta(next_uid: u64, ingested: u64, retired: u64, next_seq: u64, uids: &[u64]) -> Vec<u8> {
+    let mut bytes = b"CLSM".to_vec();
+    bytes.extend(1u32.to_le_bytes());
+    for field in [next_uid, ingested, retired, next_seq, 2, uids.len() as u64] {
+        bytes.extend(field.to_le_bytes());
+    }
+    for (i, uid) in uids.iter().enumerate() {
+        bytes.extend(uid.to_le_bytes());
+        bytes.extend((i as u32 % 2).to_le_bytes());
+    }
+    bytes
+}
+
+/// A set whose `.meta` is in the version-1 layout still resumes: the run
+/// continues bit-exactly, and the lifetime counts come back from the uid
+/// stream, not from the counters the file also stores.
+#[test]
+fn a_version_1_meta_still_resumes_bit_exactly() {
+    use culda::core::checkpoint::rotation;
+    let dir = tmp_dir("meta_v1");
+    let docs = fixtures::documents_of(&corpus());
+    let mut session = streaming(1);
+    session.ingest(&docs[..docs.len() / 2]);
+    session.train(1).unwrap();
+    session.retire(&session.live_uids()[..5]).unwrap();
+    session.ingest(&docs[docs.len() / 2..]);
+    session.train(2).unwrap();
+    let stem = session.rotate_checkpoints(&dir, 2).unwrap();
+    let at_rotation = session.stats();
+    let meta = stem.with_extension(rotation::META_EXT);
+    std::fs::write(
+        &meta,
+        v1_meta(
+            at_rotation.ingested_docs,
+            at_rotation.ingested_docs,
+            at_rotation.retired_docs,
+            at_rotation.checkpoints_written,
+            &session.live_uids(),
+        ),
+    )
+    .unwrap();
+
+    let mut resumed = StreamingSession::resume(&dir, system(1)).unwrap();
+    let stats = resumed.stats();
+    assert_eq!(stats.ingested_docs, at_rotation.ingested_docs);
+    assert_eq!(stats.retired_docs, at_rotation.retired_docs);
+    assert_eq!(stats.checkpoints_written, at_rotation.checkpoints_written);
+    assert_eq!(stats.retired_docs, 5);
+    resumed.train(3).unwrap();
+    session.train(3).unwrap();
+    assert_same_state(&session, &resumed);
+    resumed.validate().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `.meta` cut short at any byte, in either layout, fails the resume
+/// with a `SessionError`.
+#[test]
+fn a_truncated_meta_fails_the_resume_in_both_layouts() {
+    use culda::core::checkpoint::rotation;
+    let dir = tmp_dir("meta_cut");
+    let mut session = streaming(1);
+    session.ingest(&fixtures::documents_of(&corpus())[..6]);
+    session.train(1).unwrap();
+    let stem = session.rotate_checkpoints(&dir, 2).unwrap();
+    let meta = stem.with_extension(rotation::META_EXT);
+    let v2 = std::fs::read(&meta).unwrap();
+    let s = session.stats();
+    let v1 = v1_meta(6, 6, 0, s.checkpoints_written, &session.live_uids());
+    for whole in [v1, v2] {
+        std::fs::write(&meta, &whole).unwrap();
+        StreamingSession::resume(&dir, system(1)).unwrap();
+        for cut in 0..whole.len() {
+            std::fs::write(&meta, &whole[..cut]).unwrap();
+            assert!(
+                StreamingSession::resume(&dir, system(1)).is_err(),
+                "a .meta cut at byte {cut} of {} resumed",
+                whole.len()
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Simulated time is a sum over the iteration history; with no iteration
+/// it is +0.0, bit for bit, on the batch trainer and the session alike.
+#[test]
+fn an_untrained_model_reports_positive_zero_sim_time() {
+    let trainer = SessionBuilder::new()
+        .corpus(&corpus())
+        .config(LdaConfig::with_topics(K).seed(SEED))
+        .system(system(1))
+        .build()
+        .unwrap();
+    assert_eq!(trainer.sim_time_s().to_bits(), 0);
+    let mut session = streaming(1);
+    assert_eq!(session.sim_time_s().to_bits(), 0);
+    session.ingest(&fixtures::documents_of(&corpus()));
+    assert_eq!(session.sim_time_s().to_bits(), 0);
+    assert_eq!(session.stats().sim_time_s.to_bits(), 0);
+    session.train(1).unwrap();
+    assert!(session.stats().sim_time_s > 0.0);
 }
