@@ -15,6 +15,15 @@
 //! `S`, draws `u ~ U(0, S + Q)` and samples from `p1` (tree over the `K_d`
 //! non-zeros) when `u < S`, from the shared `p2` tree otherwise.  The new
 //! topic is written to `z_next`; counts are folded in by the update kernels.
+//!
+//! On the host, the launch reads `n_k` once into `f32` totals and the
+//! denominators `n_k + βV` ([`SparseCgsBlock::new`]): update-φ, the only
+//! writer of `n_k`, runs after every sampling launch of an iteration.  Each
+//! block forms its word's φ column, p*, p2, the p2 tree and the per-token p1
+//! prefix in per-thread scratch that every block on that thread reuses, so
+//! a block allocates nothing, and p* is one division loop over plain
+//! slices.  The charged work is the modelled kernel's, and every `f32`
+//! operation is the same, with the same operands in the same order.
 
 use crate::config::LdaConfig;
 use crate::kernels::sampler::{SamplerKernel, BURN_STREAM_BASE};
@@ -24,15 +33,18 @@ use culda_gpusim::rng::stable_f32;
 use culda_gpusim::{BlockCtx, BlockKernel};
 use culda_sparse::prefix::search_prefix;
 use culda_sparse::{AtomicMatrix, IndexTree, TopicId};
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 
 /// The paper's exact S/Q-split collapsed Gibbs sampler — the default
 /// [`SamplerKernel`] implementation ([`crate::SamplerStrategy::SparseCgs`]).
 ///
-/// Stateless: the per-word shared structures (p*(k), the p2 index tree) are
-/// rebuilt inside every block, every iteration, exactly as §6.1 describes —
-/// which is precisely the `O(K)` per-word cost the alias-hybrid strategy
-/// amortises away.
+/// Stateless across launches: every block forms its word's shared
+/// structures (p*(k), the p2 index tree) afresh, every iteration, exactly as
+/// §6.1 describes — which is precisely the `O(K)` per-word cost the
+/// alias-hybrid strategy amortises away.  Each launch reads `n_k + βV` once
+/// for all its blocks, and each host thread keeps the per-word buffers in
+/// scratch it reuses from block to block.
 pub struct SparseCgsSampler;
 
 impl SamplerKernel for SparseCgsSampler {
@@ -47,12 +59,7 @@ impl SamplerKernel for SparseCgsSampler {
         config: &'a LdaConfig,
         iteration: u64,
     ) -> Box<dyn BlockKernel + 'a> {
-        Box::new(SparseCgsBlock {
-            state,
-            items,
-            config,
-            iteration,
-        })
+        Box::new(SparseCgsBlock::new(state, items, config, iteration))
     }
 
     /// Exact document-major collapsed Gibbs: the full conditional
@@ -122,19 +129,69 @@ impl SamplerKernel for SparseCgsSampler {
 /// items at one iteration.
 pub struct SparseCgsBlock<'a> {
     /// Chunk being sampled.
-    pub state: &'a ChunkState,
+    state: &'a ChunkState,
     /// Per-block work assignment (see [`crate::work::build_work_items`]).
-    pub items: &'a [WorkItem],
+    items: &'a [WorkItem],
     /// Run configuration.
-    pub config: &'a LdaConfig,
+    config: &'a LdaConfig,
     /// Training iteration number; tags each token's counter-based RNG stream
     /// so draws are bit-identical across runs and GPU topologies.
-    pub iteration: u64,
+    iteration: u64,
+    /// `n_k` as `f32`, read once per launch: sampling never writes `n_k`,
+    /// because the scheduler runs update-φ only after every sampling launch
+    /// of the iteration.
+    nk_vals: Vec<f32>,
+    /// `n_k + βV`, the denominators of `p*(k)`.
+    denom: Vec<f32>,
+}
+
+/// Per-thread scratch for the per-word state of [`SparseCgsBlock`], reused
+/// by every block a thread runs (the `DELTAS` idiom of update-φ), so a
+/// block allocates nothing once the buffers have reached K.
+#[derive(Default)]
+struct WordScratch {
+    /// φ[·, v] as `f32`.
+    phi_col: Vec<f32>,
+    p_star: Vec<f32>,
+    p2: Vec<f32>,
+    p2_tree: Option<IndexTree>,
+    p1_prefix: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<WordScratch> = RefCell::default();
+}
+
+impl<'a> SparseCgsBlock<'a> {
+    /// The launch of `state`'s `items` at `iteration`; reads `n_k` once.
+    pub fn new(
+        state: &'a ChunkState,
+        items: &'a [WorkItem],
+        config: &'a LdaConfig,
+        iteration: u64,
+    ) -> Self {
+        let beta_v = (config.beta * state.layout.vocab_size as f64) as f32;
+        let nk_vals: Vec<f32> = (0..config.num_topics)
+            .map(|kk| state.nk_global.get(kk) as f32)
+            .collect();
+        let denom = nk_vals.iter().map(|&n| n + beta_v).collect();
+        SparseCgsBlock {
+            state,
+            items,
+            config,
+            iteration,
+            nk_vals,
+            denom,
+        }
+    }
 }
 
 impl BlockKernel for SparseCgsBlock<'_> {
     fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
-        self.run_block_with(block_id, ctx, p1_prefix_sums);
+        let item = &self.items[block_id];
+        if !item.is_empty() {
+            SCRATCH.with_borrow_mut(|scratch| self.sample_word(item, ctx, scratch));
+        }
     }
 }
 
@@ -149,16 +206,8 @@ impl SparseCgsBlock<'_> {
         }
     }
 
-    /// The kernel body, generic over the p1 fill ([`p1_prefix_sums`]) so the
-    /// tests can run it against a reference fill.
-    fn run_block_with<F>(&self, block_id: usize, ctx: &mut BlockCtx, fill_p1: F)
-    where
-        F: Fn(&mut Vec<f32>, &[TopicId], &[u32], usize, &[f32], f32) -> f32,
-    {
-        let item = &self.items[block_id];
-        if item.is_empty() {
-            return;
-        }
+    /// The kernel body: one block's tokens of one word.
+    fn sample_word(&self, item: &WorkItem, ctx: &mut BlockCtx, scratch: &mut WordScratch) {
         let state = self.state;
         let cfg = self.config;
         let k = cfg.num_topics;
@@ -168,21 +217,37 @@ impl SparseCgsBlock<'_> {
         let beta = cfg.beta as f32;
         let beta_v = (cfg.beta * vocab as f64) as f32;
         let int_bytes = self.model_int_bytes();
+        let (nk_vals, denom) = (&self.nk_vals, &self.denom);
+        let WordScratch {
+            phi_col,
+            p_star,
+            p2,
+            p2_tree,
+            p1_prefix,
+        } = scratch;
 
         // ---- Per-word shared state: p*(k), Q, and the p2 index tree. ----
         // Reading the φ column and n_k for the word: K compressed ints + K
         // 32-bit totals from global memory; 2 flops per topic to form p*.
         // The raw φ[·,v] and n_k values are kept so each token can remove its
         // own contribution (the n^{¬dv} correction of collapsed Gibbs).
-        // φ is stored word-major, so φ[·, v] is one contiguous run.
-        let mut phi_col = vec![0.0f32; k];
-        let mut nk_vals = vec![0.0f32; k];
-        let mut p_star = vec![0.0f32; k];
-        for (kk, phi_kv) in state.phi_global.column(v).iter().enumerate() {
-            phi_col[kk] = phi_kv.load(Ordering::Relaxed) as f32;
-            nk_vals[kk] = state.nk_global.get(kk) as f32;
-            p_star[kk] = (phi_col[kk] + beta) / (nk_vals[kk] + beta_v);
-        }
+        // φ is stored word-major, so φ[·, v] is one contiguous run; n_k and
+        // its denominators were read once for the launch.
+        phi_col.clear();
+        phi_col.extend(
+            state
+                .phi_global
+                .column(v)
+                .iter()
+                .map(|phi_kv| phi_kv.load(Ordering::Relaxed) as f32),
+        );
+        p_star.clear();
+        p_star.extend(
+            phi_col
+                .iter()
+                .zip(denom)
+                .map(|(&phi_kv, &denom_k)| (phi_kv + beta) / denom_k),
+        );
         ctx.read_global(k as u64 * int_bytes); // φ[·, v]
         ctx.read_global(k as u64 * 4); // n_k
         ctx.flops(2 * k as u64);
@@ -190,9 +255,15 @@ impl SparseCgsBlock<'_> {
         // p2(k) = α · p*(k); the tree over p2 is shared by every sampler in
         // the block (§6.1.2).  If shared memory cannot hold p* and the tree,
         // the structures spill and their traffic is charged to L1 instead.
-        let p2: Vec<f32> = p_star.iter().map(|&x| alpha * x).collect();
+        p2.clear();
+        p2.extend(p_star.iter().map(|&x| alpha * x));
         ctx.flops(k as u64);
-        let p2_tree = IndexTree::with_fanout(cfg.tree_fanout, &p2);
+        let p2_tree = if let Some(tree) = p2_tree.as_mut() {
+            tree.rebuild(cfg.tree_fanout, p2);
+            tree
+        } else {
+            p2_tree.insert(IndexTree::with_fanout(cfg.tree_fanout, p2))
+        };
         let q = p2_tree.total();
 
         let p_star_bytes = 4 * k as u64;
@@ -215,7 +286,6 @@ impl SparseCgsBlock<'_> {
 
         // ---- Per-token sampling. ----
         let theta = state.theta.read();
-        let mut p1_prefix: Vec<f32> = Vec::with_capacity(64);
         for pos in item.start..item.end {
             let pos = pos as usize;
             let d = state.layout.token_doc[pos] as usize;
@@ -239,7 +309,7 @@ impl SparseCgsBlock<'_> {
             // p1(k) = θ_{d,k} · p*(k): one multiply and one add per non-zero,
             // with the p* lookups served from shared memory.  The current
             // topic's own count is excluded.
-            let s = fill_p1(&mut p1_prefix, cols, vals, c, &p_star, p_star_c);
+            let s = p1_prefix_sums(p1_prefix, cols, vals, c, p_star, p_star_c);
             ctx.flops(2 * kd as u64);
             if in_shared {
                 ctx.shared_traffic(4 * kd as u64);
@@ -275,7 +345,7 @@ impl SparseCgsBlock<'_> {
             let new_topic = if u < s && kd > 0 {
                 // Sparse branch: search the K_d-entry prefix sum (the warp
                 // holds it in registers; a binary search costs ~log2(K_d)).
-                let idx = search_prefix(&p1_prefix, u);
+                let idx = search_prefix(p1_prefix, u);
                 ctx.int_ops((kd.max(2) as u64).ilog2() as u64 + 1);
                 cols[idx] as usize
             } else {
@@ -389,6 +459,7 @@ mod tests {
     use crate::work::build_work_items;
     use culda_corpus::{partition::DocRange, ChunkLayout, CorpusBuilder, DatasetProfile};
     use culda_gpusim::{Device, DeviceSpec, LaunchConfig};
+    use culda_sparse::index_tree::TreeSampleStats;
     use culda_sparse::DenseMatrix;
 
     fn make_state(num_topics: usize, seed: u64) -> ChunkState {
@@ -418,12 +489,7 @@ mod tests {
         let state = make_state(8, 3);
         let cfg = LdaConfig::with_topics(8);
         let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
-        let kernel = SparseCgsBlock {
-            state: &state,
-            items: &items,
-            config: &cfg,
-            iteration: 0,
-        };
+        let kernel = SparseCgsBlock::new(&state, &items, &cfg, 0);
         let dev = Device::new(0, DeviceSpec::titan_x_maxwell(), 11);
         let stats = dev.launch("Sampling", LaunchConfig::new(items.len()), &kernel);
         for z in &state.z_next {
@@ -464,70 +530,281 @@ mod tests {
         s
     }
 
-    /// [`SparseCgsBlock`] running the oracle p1 loop.
-    struct BranchyBlock<'a>(SparseCgsBlock<'a>);
+    /// The index tree as the kernel built and searched it per block before
+    /// [`IndexTree::rebuild`] and the `partition_point` descent: fresh
+    /// levels, and an early-exit scan of each node's children.
+    struct OracleTree {
+        fanout: usize,
+        levels: Vec<Vec<f32>>,
+        total: f32,
+    }
 
-    impl BlockKernel for BranchyBlock<'_> {
-        fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
-            self.0.run_block_with(block_id, ctx, p1_prefix_sums_branchy);
+    impl OracleTree {
+        fn with_fanout(fanout: usize, weights: &[f32]) -> Self {
+            let mut leaf = Vec::with_capacity(weights.len());
+            let mut acc = 0.0f32;
+            for &w in weights {
+                acc += w;
+                leaf.push(acc);
+            }
+            let total = acc;
+            let mut levels = vec![leaf];
+            while levels.last().unwrap().len() > fanout {
+                let below = levels.last().unwrap();
+                let mut up = Vec::with_capacity(below.len().div_ceil(fanout));
+                for block in below.chunks(fanout) {
+                    up.push(*block.last().unwrap());
+                }
+                levels.push(up);
+            }
+            OracleTree {
+                fanout,
+                levels,
+                total,
+            }
+        }
+
+        fn total(&self) -> f32 {
+            self.total
+        }
+
+        fn depth(&self) -> usize {
+            self.levels.len()
+        }
+
+        fn shared_bytes(&self) -> u64 {
+            (self.levels[1..].iter().map(Vec::len).sum::<usize>() * 4) as u64
+        }
+
+        fn leaf_bytes(&self) -> u64 {
+            (self.levels[0].len() * 4) as u64
+        }
+
+        fn leaf_prefix(&self) -> &[f32] {
+            &self.levels[0]
+        }
+
+        fn sample_with_stats(&self, u: f32) -> (usize, TreeSampleStats) {
+            let mut stats = TreeSampleStats::default();
+            let mut block = 0usize;
+            for level in self.levels.iter().rev() {
+                stats.levels += 1;
+                let start = block * self.fanout;
+                let end = (start + self.fanout).min(level.len());
+                let mut child = end - 1;
+                for (i, &v) in level[start..end].iter().enumerate() {
+                    stats.nodes_visited += 1;
+                    if u < v {
+                        child = start + i;
+                        break;
+                    }
+                }
+                block = child;
+            }
+            (block, stats)
         }
     }
 
-    #[test]
-    fn straight_line_p1_matches_the_branchy_oracle_bit_for_bit() {
-        for (k, seed) in [(8, 21), (64, 22), (256, 23)] {
-            let state = make_state(k, seed);
-            // The corpus must exercise the edge cases of the split: a zero
-            // self-excluded weight (θ_{d,c} = 1) and c at either end of its
-            // θ row.
-            let (mut unit, mut first, mut last) = (0, 0, 0);
-            {
-                let theta = state.theta.read();
-                for pos in 0..state.num_tokens() {
-                    let d = state.layout.token_doc[pos] as usize;
-                    let c = state.z[pos].load(Ordering::Relaxed);
-                    let (cols, vals) = theta.row(d);
-                    let i = cols.binary_search(&c).expect("z is counted in θ");
-                    unit += usize::from(vals[i] == 1);
-                    first += usize::from(i == 0);
-                    last += usize::from(i + 1 == cols.len());
-                }
-            }
-            assert!(
-                unit > 0 && first > 0 && last > 0,
-                "K={k}: {unit} {first} {last}"
-            );
-
-            let cfg = LdaConfig::with_topics(k);
-            let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
-            let dev = Device::new(0, DeviceSpec::v100_volta(), 3);
-            let launch = LaunchConfig::new(items.len());
-            let z_next = |state: &ChunkState| -> Vec<u16> {
-                state
-                    .z_next
-                    .iter()
-                    .map(|z| z.load(Ordering::Relaxed))
-                    .collect()
-            };
-            for iteration in 0..3 {
-                let block = || SparseCgsBlock {
-                    state: &state,
-                    items: &items,
-                    config: &cfg,
-                    iteration,
-                };
-                let oracle = dev.launch("Sampling", launch, &BranchyBlock(block()));
-                let oracle_z = z_next(&state);
-                let fast = dev.launch("Sampling", launch, &block());
-                assert_eq!(z_next(&state), oracle_z, "K={k} iteration {iteration}");
-                assert_eq!(
-                    fast.counters, oracle.counters,
-                    "K={k} iteration {iteration}"
-                );
+    /// The hand-written binary search `search_prefix` was before it became
+    /// a `partition_point`.
+    fn oracle_search_prefix(prefix: &[f32], u: f32) -> usize {
+        let mut lo = 0usize;
+        let mut hi = prefix.len();
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if u < prefix[mid] {
+                hi = mid;
+            } else {
+                lo = mid + 1;
             }
         }
+        lo.min(prefix.len() - 1)
+    }
 
-        // A row that does not hold the token's topic takes no exclusion.
+    /// [`SparseCgsBlock`] as it ran before the per-launch `n_k` and the
+    /// per-thread scratch: every block reads `n_k` and allocates its φ
+    /// column, p*, p2, tree and p1 prefix, and every token searches with
+    /// [`OracleTree`] and [`oracle_search_prefix`].  The body is verbatim
+    /// but for its p1 fill, the branchy loop [`p1_prefix_sums_branchy`], so
+    /// it also checks the straight-line fill; the kernel must match it bit
+    /// for bit, counters included.
+    struct OracleBlock<'a>(SparseCgsBlock<'a>);
+
+    impl BlockKernel for OracleBlock<'_> {
+        fn run_block(&self, block_id: usize, ctx: &mut BlockCtx) {
+            let block = &self.0;
+            let item = &block.items[block_id];
+            if item.is_empty() {
+                return;
+            }
+            let state = block.state;
+            let cfg = block.config;
+            let k = cfg.num_topics;
+            let v = item.word as usize;
+            let vocab = state.layout.vocab_size;
+            let alpha = cfg.alpha as f32;
+            let beta = cfg.beta as f32;
+            let beta_v = (cfg.beta * vocab as f64) as f32;
+            let int_bytes = block.model_int_bytes();
+
+            // ---- Per-word shared state: p*(k), Q, and the p2 index tree. ----
+            // Reading the φ column and n_k for the word: K compressed ints + K
+            // 32-bit totals from global memory; 2 flops per topic to form p*.
+            // The raw φ[·,v] and n_k values are kept so each token can remove its
+            // own contribution (the n^{¬dv} correction of collapsed Gibbs).
+            // φ is stored word-major, so φ[·, v] is one contiguous run.
+            let mut phi_col = vec![0.0f32; k];
+            let mut nk_vals = vec![0.0f32; k];
+            let mut p_star = vec![0.0f32; k];
+            for (kk, phi_kv) in state.phi_global.column(v).iter().enumerate() {
+                phi_col[kk] = phi_kv.load(Ordering::Relaxed) as f32;
+                nk_vals[kk] = state.nk_global.get(kk) as f32;
+                p_star[kk] = (phi_col[kk] + beta) / (nk_vals[kk] + beta_v);
+            }
+            ctx.read_global(k as u64 * int_bytes); // φ[·, v]
+            ctx.read_global(k as u64 * 4); // n_k
+            ctx.flops(2 * k as u64);
+
+            // p2(k) = α · p*(k); the tree over p2 is shared by every sampler in
+            // the block (§6.1.2).  If shared memory cannot hold p* and the tree,
+            // the structures spill and their traffic is charged to L1 instead.
+            let p2: Vec<f32> = p_star.iter().map(|&x| alpha * x).collect();
+            ctx.flops(k as u64);
+            let p2_tree = OracleTree::with_fanout(cfg.tree_fanout, &p2);
+            let q = p2_tree.total();
+
+            let p_star_bytes = 4 * k as u64;
+            let tree_bytes = p2_tree.shared_bytes() + p2_tree.leaf_bytes();
+            // `in_shared`: the block-shared placement of §6.1.2.  When sharing is
+            // disabled (the SaberLDA-style configuration and the ablation), the
+            // per-token lookups fall back to off-chip memory; when sharing is
+            // enabled but the structures exceed the block's shared budget, they
+            // spill to the L1-cached path instead.
+            let fits = ctx.shared_alloc(p_star_bytes) && ctx.shared_alloc(tree_bytes);
+            let in_shared = cfg.share_p2_tree && fits;
+            if in_shared {
+                ctx.shared_traffic(p_star_bytes + tree_bytes); // construction writes
+            } else if cfg.share_p2_tree {
+                // Capacity spill: rebuilt per sampler through L1.
+                ctx.read_l1(p_star_bytes + tree_bytes);
+            } else {
+                ctx.write_global(p_star_bytes + tree_bytes);
+            }
+
+            // ---- Per-token sampling. ----
+            let theta = state.theta.read();
+            let mut p1_prefix: Vec<f32> = Vec::with_capacity(64);
+            for pos in item.start..item.end {
+                let pos = pos as usize;
+                let d = state.layout.token_doc[pos] as usize;
+                ctx.read_global(4); // token → document index
+
+                // The token's current assignment, so its own count can be
+                // excluded from every distribution it is resampled from
+                // (collapsed Gibbs samples from n^{¬dv}, Algorithm 2 line 4).
+                let c = state.z[pos].load(Ordering::Relaxed) as usize;
+                ctx.read_global(int_bytes); // current topic assignment
+                let p_star_c =
+                    ((phi_col[c] - 1.0).max(0.0) + beta) / ((nk_vals[c] - 1.0).max(0.0) + beta_v);
+                ctx.flops(2);
+
+                let (cols, vals) = theta.row(d);
+                let kd = cols.len();
+                // Reading the CSR row: K_d (compressed column index + 32-bit
+                // count) pairs plus the two row-pointer entries.
+                ctx.read_global(kd as u64 * (int_bytes + 4) + 8);
+
+                // p1(k) = θ_{d,k} · p*(k): one multiply and one add per non-zero,
+                // with the p* lookups served from shared memory.  The current
+                // topic's own count is excluded.
+                let s = p1_prefix_sums_branchy(&mut p1_prefix, cols, vals, c, &p_star, p_star_c);
+                ctx.flops(2 * kd as u64);
+                if in_shared {
+                    ctx.shared_traffic(4 * kd as u64);
+                } else if cfg.share_p2_tree {
+                    ctx.read_l1(4 * kd as u64);
+                } else {
+                    ctx.read_global(4 * kd as u64);
+                }
+
+                // The dense part's mass with the current topic's self-count
+                // removed: only the p2 leaf for topic `c` changes, so the shared
+                // tree is reused and the draw is remapped around the removed
+                // mass instead of rebuilding the tree per token.
+                let p2_c_adj = alpha * p_star_c;
+                let delta = p2[c] - p2_c_adj;
+                let q_adj = (q - delta).max(0.0);
+                let leaf_before_c = if c == 0 {
+                    0.0
+                } else {
+                    p2_tree.leaf_prefix()[c - 1]
+                };
+                ctx.flops(3);
+
+                // Draw u ~ U(0, S + Q) and pick the branch (Algorithm 2, line 6).
+                // The draw is a pure function of (seed, iteration, token
+                // identity): the same token gets the same randomness no matter
+                // which block, device or topology samples it.
+                let global_doc = (state.layout.range.start + d) as u64;
+                let slot = state.token_slot[pos] as u64;
+                let u = ctx.stable_f32(cfg.seed, block.iteration, (global_doc << 32) | slot)
+                    * (s + q_adj);
+                ctx.flops(2);
+                let new_topic = if u < s && kd > 0 {
+                    // Sparse branch: search the K_d-entry prefix sum (the warp
+                    // holds it in registers; a binary search costs ~log2(K_d)).
+                    let idx = oracle_search_prefix(&p1_prefix, u);
+                    ctx.int_ops((kd.max(2) as u64).ilog2() as u64 + 1);
+                    cols[idx] as usize
+                } else {
+                    // Dense branch: descend the shared 32-way p2 tree, remapping
+                    // the draw across topic `c`'s reduced leaf.
+                    let u2 = (u - s).clamp(0.0, q_adj);
+                    let u2_orig = if u2 < leaf_before_c {
+                        Some(u2)
+                    } else if u2 < leaf_before_c + p2_c_adj {
+                        None // lands inside topic c's adjusted leaf
+                    } else {
+                        Some((u2 + delta).clamp(0.0, q))
+                    };
+                    match u2_orig {
+                        Some(u2) => {
+                            let (idx, stats) = p2_tree.sample_with_stats(u2);
+                            if in_shared {
+                                ctx.shared_traffic(stats.nodes_visited as u64 * 4);
+                            } else if cfg.share_p2_tree {
+                                ctx.read_l1(stats.nodes_visited as u64 * 4);
+                            } else {
+                                ctx.read_global(stats.nodes_visited as u64 * 4);
+                            }
+                            ctx.int_ops(stats.levels as u64);
+                            idx
+                        }
+                        None => {
+                            // The warp still descends the tree to reach the leaf.
+                            let depth = p2_tree.depth() as u64;
+                            if in_shared {
+                                ctx.shared_traffic(depth * 4);
+                            } else if cfg.share_p2_tree {
+                                ctx.read_l1(depth * 4);
+                            } else {
+                                ctx.read_global(depth * 4);
+                            }
+                            ctx.int_ops(depth);
+                            c
+                        }
+                    }
+                };
+
+                state.z_next[pos].store(new_topic as u16, Ordering::Relaxed);
+                ctx.write_global(int_bytes); // compressed topic assignment
+            }
+        }
+    }
+
+    /// A row that does not hold the token's topic takes no exclusion.
+    #[test]
+    fn straight_line_p1_matches_the_branchy_oracle_bit_for_bit() {
         let p_star: Vec<f32> = (0..16).map(|kk| 0.01 + kk as f32 * 0.003).collect();
         let (cols, vals) = ([1 as TopicId, 4, 9, 15], [3u32, 1, 2, 7]);
         for c in [0, 1, 4, 5, 9, 15] {
@@ -538,17 +815,96 @@ mod tests {
         }
     }
 
+    /// The corpus of `state` must exercise the edge cases of the p1 fill: a
+    /// zero self-excluded weight (θ_{d,c} = 1) and the token's topic at
+    /// either end of its θ row.
+    fn assert_p1_edge_cases(state: &ChunkState) {
+        let (mut unit, mut first, mut last) = (0, 0, 0);
+        let theta = state.theta.read();
+        for pos in 0..state.num_tokens() {
+            let d = state.layout.token_doc[pos] as usize;
+            let c = state.z[pos].load(Ordering::Relaxed);
+            let (cols, vals) = theta.row(d);
+            let i = cols.binary_search(&c).expect("z is counted in θ");
+            unit += usize::from(vals[i] == 1);
+            first += usize::from(i == 0);
+            last += usize::from(i + 1 == cols.len());
+        }
+        assert!(unit > 0 && first > 0 && last > 0, "{unit} {first} {last}");
+    }
+
+    /// The kernel against the per-block oracle over every configuration
+    /// that steers its paths: K = 1 (a one-leaf tree), 2, 33 (one leaf past
+    /// a 32-way node), 256, and 6400, whose p* and tree exceed the 48 KiB
+    /// shared budget of a Maxwell block and spill to L1; both tree fan-outs;
+    /// the shared tree on and off; 16-bit compression on and off.  Each case
+    /// runs 3 iterations, folding `z_next` into the counts between them, and
+    /// must match the oracle's `z_next` and every cost counter.
+    #[test]
+    fn kernel_matches_the_per_block_oracle_bit_for_bit() {
+        const SPILLING_K: usize = 6400;
+        let dev = Device::new(0, DeviceSpec::titan_x_maxwell(), 9);
+        let z_next = |state: &ChunkState| -> Vec<u16> {
+            state
+                .z_next
+                .iter()
+                .map(|z| z.swap(u16::MAX, Ordering::Relaxed))
+                .collect()
+        };
+        for k in [1, 2, 33, 256, SPILLING_K] {
+            for tree_fanout in [2, 32] {
+                for share_p2_tree in [true, false] {
+                    for compress_16bit in [true, false] {
+                        let state = make_state(k, 40 + k as u64);
+                        if k > 2 {
+                            assert_p1_edge_cases(&state);
+                        }
+                        let mut cfg = LdaConfig::with_topics(k);
+                        cfg.tree_fanout = tree_fanout;
+                        cfg.share_p2_tree = share_p2_tree;
+                        cfg.compress_16bit = compress_16bit;
+                        let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
+                        let launch = LaunchConfig::new(items.len());
+                        let case = format!(
+                            "K={k} fan-out {tree_fanout} shared {share_p2_tree} \
+                             16-bit {compress_16bit}"
+                        );
+                        for iteration in 0..3 {
+                            let block = || SparseCgsBlock::new(&state, &items, &cfg, iteration);
+                            let oracle = dev.launch("Sampling", launch, &OracleBlock(block()));
+                            let oracle_z = z_next(&state);
+                            let fast = dev.launch("Sampling", launch, &block());
+                            assert_eq!(z_next(&state), oracle_z, "{case} iteration {iteration}");
+                            assert_eq!(
+                                fast.counters, oracle.counters,
+                                "{case} iteration {iteration}"
+                            );
+                            let spilled = share_p2_tree && k == SPILLING_K;
+                            assert_eq!(fast.counters.l1_bytes > 0, spilled, "{case}");
+
+                            for (z, &topic) in state.z_next.iter().zip(&oracle_z) {
+                                z.store(topic, Ordering::Relaxed);
+                            }
+                            let update = UpdatePhiKernel {
+                                state: &state,
+                                items: &items,
+                                compress_16bit,
+                            };
+                            dev.launch("Update phi", launch, &update);
+                            state.rebuild_theta();
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sampling_is_memory_bound_as_in_table_1() {
         let state = make_state(32, 5);
         let cfg = LdaConfig::with_topics(32);
         let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
-        let kernel = SparseCgsBlock {
-            state: &state,
-            items: &items,
-            config: &cfg,
-            iteration: 0,
-        };
+        let kernel = SparseCgsBlock::new(&state, &items, &cfg, 0);
         let dev = Device::new(0, DeviceSpec::v100_volta(), 1);
         let stats = dev.launch("Sampling", LaunchConfig::new(items.len()), &kernel);
         let intensity = stats.counters.flops_per_byte();
@@ -579,12 +935,7 @@ mod tests {
         let dev = Device::new(0, DeviceSpec::titan_x_maxwell(), 77);
         let items = build_work_items(&state.layout, cfg.max_tokens_per_block);
         for _ in 0..15 {
-            let kernel = SparseCgsBlock {
-                state: &state,
-                items: &items,
-                config: &cfg,
-                iteration: 0,
-            };
+            let kernel = SparseCgsBlock::new(&state, &items, &cfg, 0);
             dev.launch("Sampling", LaunchConfig::new(items.len()), &kernel);
             // Fold z_next into φ / n_k and z, then rebuild θ.
             let update = UpdatePhiKernel {
@@ -618,22 +969,12 @@ mod tests {
         let with = dev.launch(
             "Sampling",
             LaunchConfig::new(items.len()),
-            &SparseCgsBlock {
-                state: &state,
-                items: &items,
-                config: &shared_cfg,
-                iteration: 0,
-            },
+            &SparseCgsBlock::new(&state, &items, &shared_cfg, 0),
         );
         let without = dev.launch(
             "Sampling",
             LaunchConfig::new(items.len()),
-            &SparseCgsBlock {
-                state: &state,
-                items: &items,
-                config: &unshared_cfg,
-                iteration: 0,
-            },
+            &SparseCgsBlock::new(&state, &items, &unshared_cfg, 0),
         );
         // Without sharing, the p*/tree traffic lands in off-chip memory
         // instead of shared memory: shared traffic must be higher with the

@@ -117,7 +117,16 @@ pub fn read_corpus<R: Read>(reader: R) -> Result<Corpus, SnapshotError> {
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let vocab_size = read_u64(&mut r)? as usize;
+    let vocab_size = read_u64(&mut r)?;
+    // Word ids are u32, so no valid snapshot has a larger vocabulary; a
+    // bigger V (a flipped high bit) would size every V-wide buffer of the
+    // corpus's consumers.
+    if vocab_size > u32::MAX as u64 {
+        return Err(SnapshotError::Corrupt(format!(
+            "vocabulary size {vocab_size} exceeds the u32 word-id range"
+        )));
+    }
+    let vocab_size = vocab_size as usize;
     let num_docs = read_u64(&mut r)? as usize;
     let num_tokens = read_u64(&mut r)? as usize;
 
@@ -255,6 +264,25 @@ mod tests {
             read_corpus(buf.as_slice()),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    /// Bytes 12–15 are the high half of the header's `vocab_size`: a flip of
+    /// any of their bits puts V past the u32 word-id range, which must be a
+    /// typed error, not an allocation sized by V downstream.
+    #[test]
+    fn a_flipped_high_vocab_size_bit_is_corrupt() {
+        let mut clean = Vec::new();
+        write_corpus(&corpus(), &mut clean).unwrap();
+        for byte in 12..16 {
+            for bit in 0..8 {
+                let mut buf = clean.clone();
+                buf[byte] ^= 1 << bit;
+                assert!(
+                    matches!(read_corpus(buf.as_slice()), Err(SnapshotError::Corrupt(_))),
+                    "byte {byte} bit {bit}"
+                );
+            }
+        }
     }
 
     #[test]

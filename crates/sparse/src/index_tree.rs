@@ -43,35 +43,59 @@ impl IndexTree {
     /// # Panics
     /// Panics if `fanout < 2` or `weights` is empty.
     pub fn with_fanout(fanout: usize, weights: &[f32]) -> Self {
+        let mut tree = IndexTree {
+            fanout,
+            levels: Vec::new(),
+            total: 0.0,
+        };
+        tree.rebuild(fanout, weights);
+        tree
+    }
+
+    /// Rebuild the tree in place over new weights, of any length: the tree
+    /// [`IndexTree::with_fanout`] builds, in the level buffers this one
+    /// already holds, so a caller that rebuilds per word allocates only
+    /// when the tree grows.
+    ///
+    /// # Panics
+    /// Panics if `fanout < 2` or `weights` is empty.
+    pub fn rebuild(&mut self, fanout: usize, weights: &[f32]) {
         assert!(fanout >= 2, "fan-out must be at least 2");
         assert!(
             !weights.is_empty(),
             "cannot build an index tree over no weights"
         );
-        let mut leaf = Vec::with_capacity(weights.len());
+        self.fanout = fanout;
+        if self.levels.is_empty() {
+            self.levels.push(Vec::new());
+        }
+        let leaf = &mut self.levels[0];
+        leaf.clear();
         let mut acc = 0.0f32;
-        for &w in weights {
+        leaf.extend(weights.iter().map(|&w| {
             debug_assert!(w >= 0.0, "negative weight {w}");
             acc += w;
-            leaf.push(acc);
-        }
-        let total = acc;
-        let mut levels = vec![leaf];
-        while levels.last().unwrap().len() > fanout {
-            let below = levels.last().unwrap();
-            let mut up = Vec::with_capacity(below.len().div_ceil(fanout));
-            for block in below.chunks(fanout) {
-                // The running total at the end of this block is simply the
-                // last prefix-sum entry in the block.
-                up.push(*block.last().unwrap());
+            acc
+        }));
+        self.total = acc;
+        let mut depth = 1;
+        while self.levels[depth - 1].len() > fanout {
+            if self.levels.len() == depth {
+                self.levels.push(Vec::new());
             }
-            levels.push(up);
+            let (below, above) = self.levels.split_at_mut(depth);
+            let up = &mut above[0];
+            up.clear();
+            // The running total at the end of a block of `fanout` nodes is
+            // simply the last prefix-sum entry in the block.
+            up.extend(
+                below[depth - 1]
+                    .chunks(fanout)
+                    .map(|block| block[block.len() - 1]),
+            );
+            depth += 1;
         }
-        IndexTree {
-            fanout,
-            levels,
-            total,
-        }
+        self.levels.truncate(depth);
     }
 
     /// Build a 32-way tree (the configuration used by the paper's kernels).
@@ -132,26 +156,26 @@ impl IndexTree {
     }
 
     /// [`IndexTree::sample`] plus traversal statistics for the cost model.
+    #[inline]
     pub fn sample_with_stats(&self, u: f32) -> (usize, TreeSampleStats) {
         let mut stats = TreeSampleStats::default();
         // Descend from the top level; `block` is the index of the block of
         // `fanout` nodes at the current level that contains the answer.
         let mut block = 0usize;
         for level in self.levels.iter().rev() {
-            stats.levels += 1;
             let start = block * self.fanout;
-            let end = (start + self.fanout).min(level.len());
-            // A real warp inspects all children at once; the simulator scans
-            // them sequentially and counts each node visited.
-            let mut child = end - 1; // default: last child (clamp)
-            for (i, &v) in level[start..end].iter().enumerate() {
-                stats.nodes_visited += 1;
-                if u < v {
-                    child = start + i;
-                    break;
-                }
-            }
-            block = child;
+            let children = &level[start..(start + self.fanout).min(level.len())];
+            // A real warp inspects all children at once.  The answer is the
+            // first child whose running total exceeds `u`, or the last child
+            // (clamp) when none does, and the warp is charged the nodes a
+            // scan stopping at that child visits.  `!(u < v)` is that scan's
+            // test negated, so a NaN `u` clamps as well.
+            let child = children
+                .partition_point(|&v| !(u < v))
+                .min(children.len() - 1);
+            stats.levels += 1;
+            stats.nodes_visited += child as u32 + 1;
+            block = start + child;
         }
         (block, stats)
     }
@@ -249,6 +273,32 @@ mod tests {
         assert_eq!(tree.depth(), 3);
         let tree2 = IndexTree::with_fanout(2, &vec![1.0f32; 1024]);
         assert_eq!(tree2.depth(), 10);
+    }
+
+    /// The bits of every level, the fan-out and the total.
+    fn tree_bits(tree: &IndexTree) -> (usize, u32, Vec<Vec<u32>>) {
+        let levels = tree
+            .levels
+            .iter()
+            .map(|level| level.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        (tree.fanout, tree.total.to_bits(), levels)
+    }
+
+    #[test]
+    fn rebuild_in_place_equals_a_fresh_tree() {
+        let weights =
+            |n: usize| -> Vec<f32> { (0..n).map(|i| ((i * 37) % 11) as f32 * 0.25).collect() };
+        let mut tree = IndexTree::with_fanout(4, &weights(100));
+        for (fanout, n) in [(4, 3), (32, 1), (2, 1000), (32, 33), (3, 64), (32, 4096)] {
+            tree.rebuild(fanout, &weights(n));
+            let fresh = IndexTree::with_fanout(fanout, &weights(n));
+            assert_eq!(
+                tree_bits(&tree),
+                tree_bits(&fresh),
+                "fan-out {fanout}, {n} weights"
+            );
+        }
     }
 
     #[test]

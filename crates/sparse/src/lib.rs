@@ -8,8 +8,8 @@
 //!   document–topic matrix θ (16-bit column indices, §6.1.3 of the paper).
 //! * [`dense::DenseMatrix`] / [`dense::AtomicMatrix`] — dense storage for the
 //!   topic–word matrix φ, with an atomic variant used by the update-φ kernel.
-//! * [`prefix`] — sequential and parallel prefix sums (used when compacting a
-//!   dense document row back into CSR, §6.2).
+//! * [`prefix`] — the parallel offsets of the corpus partition (§5.1) and
+//!   the prefix-sum search of multinomial sampling (§6.1.1).
 //! * [`index_tree::IndexTree`] — the N-ary (32-way on NVIDIA GPUs) index tree
 //!   over prefix sums used for tree-based multinomial sampling (§6.1.1,
 //!   Figure 5).

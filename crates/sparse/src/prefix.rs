@@ -1,65 +1,15 @@
-//! Prefix sums (scans).
+//! Prefix sums (scans) and the search over them.
 //!
-//! Prefix sums appear in two places in CuLDA_CGS:
-//!
-//! * the index tree for tree-based sampling is built over the *inclusive*
-//!   prefix sum of the (sparse or dense) probability vector (§6.1.1, Fig. 5);
-//! * the update-θ kernel compacts a dense per-document scratch row back into
-//!   CSR using an *exclusive* prefix sum over per-row non-zero counts (§6.2).
-//!
-//! Both a sequential implementation (used inside a single simulated thread
-//! block) and a rayon-parallel implementation (used host-side when rebuilding
-//! a whole chunk's row pointers) are provided.  The parallel scan runs on
-//! real OS threads; its fixed block decomposition — not thread arrival
-//! order — defines every intermediate sum, so its output is bit-identical
-//! at any thread count.
+//! * [`parallel_offsets_u64`] turns per-document token counts into the
+//!   offsets the corpus partitioner splits by token count (§5.1).  It runs
+//!   on real OS threads; its fixed block decomposition — not thread
+//!   arrival order — defines every intermediate sum, so its output is
+//!   bit-identical at any thread count.
+//! * [`search_prefix`] samples from an *inclusive* prefix sum of a
+//!   probability vector (§6.1.1, Fig. 5): the sampling kernel's sparse
+//!   branch searches the document's p1 prefix with it.
 
 use rayon::prelude::*;
-
-/// In-place inclusive prefix sum: `out[i] = Σ_{j<=i} in[j]`.
-pub fn inclusive_scan_f32(values: &mut [f32]) {
-    let mut acc = 0.0f32;
-    for v in values.iter_mut() {
-        acc += *v;
-        *v = acc;
-    }
-}
-
-/// Inclusive prefix sum into a new vector, returning the total as well.
-pub fn inclusive_scan_f32_to(values: &[f32]) -> (Vec<f32>, f32) {
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = 0.0f32;
-    for &v in values {
-        acc += v;
-        out.push(acc);
-    }
-    (out, acc)
-}
-
-/// In-place exclusive prefix sum over `u32` counts:
-/// `out[i] = Σ_{j<i} in[j]`; returns the grand total.
-pub fn exclusive_scan_u32(values: &mut [u32]) -> u32 {
-    let mut acc = 0u32;
-    for v in values.iter_mut() {
-        let cur = *v;
-        *v = acc;
-        acc += cur;
-    }
-    acc
-}
-
-/// Exclusive prefix sum producing a `rows + 1` CSR-style row pointer array
-/// from per-row counts.
-pub fn row_ptr_from_counts(counts: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0u32;
-    out.push(0);
-    for &c in counts {
-        acc += c;
-        out.push(acc);
-    }
-    out
-}
 
 /// Parallel exclusive prefix sum over `u64` counts, returning a `len + 1`
 /// offsets array.  Used host-side when partitioning a corpus into chunks by
@@ -112,54 +62,20 @@ pub fn parallel_offsets_u64(counts: &[u64]) -> Vec<u64> {
 }
 
 /// Binary search over an inclusive prefix-sum array: smallest `i` such that
-/// `u < prefix[i]`.  This is the "search problem" formulation of multinomial
-/// sampling that the index tree accelerates (§6.1.1).
+/// `u < prefix[i]`, clamped to the last index when there is none.  This is
+/// the "search problem" formulation of multinomial sampling that the index
+/// tree accelerates (§6.1.1).  `prefix` must be non-decreasing, as the
+/// running sums of non-negative weights are.  The predicate is `u < x`
+/// negated, so a NaN `u` clamps too.
+#[inline]
 pub fn search_prefix(prefix: &[f32], u: f32) -> usize {
     debug_assert!(!prefix.is_empty());
-    let mut lo = 0usize;
-    let mut hi = prefix.len();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if u < prefix[mid] {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo.min(prefix.len() - 1)
+    prefix.partition_point(|&x| !(u < x)).min(prefix.len() - 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inclusive_scan_basic() {
-        let mut v = vec![1.0, 2.0, 3.0, 4.0];
-        inclusive_scan_f32(&mut v);
-        assert_eq!(v, vec![1.0, 3.0, 6.0, 10.0]);
-    }
-
-    #[test]
-    fn inclusive_scan_to_returns_total() {
-        let (p, total) = inclusive_scan_f32_to(&[0.5, 0.25, 0.25]);
-        assert_eq!(p, vec![0.5, 0.75, 1.0]);
-        assert!((total - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn exclusive_scan_u32_basic() {
-        let mut v = vec![3, 0, 2, 5];
-        let total = exclusive_scan_u32(&mut v);
-        assert_eq!(v, vec![0, 3, 3, 5]);
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn row_ptr_from_counts_matches_manual() {
-        assert_eq!(row_ptr_from_counts(&[2, 0, 3]), vec![0, 2, 2, 5]);
-        assert_eq!(row_ptr_from_counts(&[]), vec![0]);
-    }
 
     #[test]
     fn parallel_offsets_small_input() {

@@ -1,5 +1,7 @@
 //! Property-based tests for the sparse-matrix and sampling primitives.
 
+use culda_sparse::index_tree::TreeSampleStats;
+use culda_sparse::prefix::search_prefix;
 use culda_sparse::{AliasTable, CsrMatrix, IndexTree};
 use proptest::prelude::*;
 
@@ -10,6 +12,109 @@ fn arb_dense_rows() -> impl Strategy<Value = (usize, Vec<Vec<u32>>)> {
             prop::collection::vec(prop::collection::vec(0u32..6, cols), 0..24),
         )
     })
+}
+
+/// Non-negative weights in which about a third are zero, so the prefix sums
+/// hold runs of equal entries.
+fn arb_weights() -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec(
+        (0u32..3, 0.0f32..10.0).prop_map(|(keep, w)| if keep == 0 { 0.0 } else { w }),
+        1..300,
+    )
+}
+
+/// The draws worth probing over `prefix`: 0, every prefix value exactly,
+/// the midpoints between neighbours, `fraction` of the total, and values at
+/// and past the total (which clamp), NaN included.
+fn probe_draws(prefix: &[f32], fraction: f32) -> Vec<f32> {
+    let total = prefix[prefix.len() - 1];
+    let mut draws = vec![
+        0.0,
+        fraction * total,
+        total,
+        total * 2.0 + 1.0,
+        f32::MAX,
+        f32::NAN,
+    ];
+    draws.extend_from_slice(prefix);
+    draws.extend(prefix.windows(2).map(|w| (w[0] + w[1]) * 0.5));
+    draws
+}
+
+/// The inclusive prefix sums of `weights`, added left to right.
+fn running_sums(weights: &[f32]) -> Vec<f32> {
+    let mut acc = 0.0f32;
+    weights
+        .iter()
+        .map(|&w| {
+            acc += w;
+            acc
+        })
+        .collect()
+}
+
+/// The hand-written binary search `search_prefix` replaced.
+fn search_prefix_oracle(prefix: &[f32], u: f32) -> usize {
+    let mut lo = 0usize;
+    let mut hi = prefix.len();
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if u < prefix[mid] {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo.min(prefix.len() - 1)
+}
+
+/// The index tree's levels as `IndexTree::with_fanout` builds them, searched
+/// with the early-exit child scan `sample_with_stats` replaced.
+fn tree_sample_oracle(fanout: usize, weights: &[f32], u: f32) -> (usize, TreeSampleStats) {
+    let mut levels = vec![running_sums(weights)];
+    while levels.last().unwrap().len() > fanout {
+        let up = levels
+            .last()
+            .unwrap()
+            .chunks(fanout)
+            .map(|b| *b.last().unwrap())
+            .collect();
+        levels.push(up);
+    }
+    let mut stats = TreeSampleStats::default();
+    let mut block = 0usize;
+    for level in levels.iter().rev() {
+        stats.levels += 1;
+        let start = block * fanout;
+        let end = (start + fanout).min(level.len());
+        let mut child = end - 1;
+        for (i, &v) in level[start..end].iter().enumerate() {
+            stats.nodes_visited += 1;
+            if u < v {
+                child = start + i;
+                break;
+            }
+        }
+        block = child;
+    }
+    (block, stats)
+}
+
+/// Every observable of `tree`, with floats as bits: the sums, the shape and
+/// the sample at each probe draw.
+fn tree_view(tree: &IndexTree) -> (u32, Vec<u32>, usize, usize, Vec<(usize, TreeSampleStats)>) {
+    let prefix = tree.leaf_prefix();
+    let samples = probe_draws(prefix, 0.5)
+        .into_iter()
+        .map(|u| tree.sample_with_stats(u))
+        .collect();
+    (
+        tree.total().to_bits(),
+        prefix.iter().map(|x| x.to_bits()).collect(),
+        tree.depth(),
+        tree.internal_nodes(),
+        samples,
+    )
 }
 
 proptest! {
@@ -60,8 +165,59 @@ proptest! {
         prop_assume!(total > 0.0);
         let u = (fraction as f32 * total).min(total * 0.999_999);
         let prefix = tree.leaf_prefix().to_vec();
-        let linear = culda_sparse::prefix::search_prefix(&prefix, u);
+        let linear = search_prefix(&prefix, u);
         prop_assert_eq!(tree.sample(u), linear);
+    }
+
+    /// `search_prefix` returns the index the hand-written binary search
+    /// did, on prefixes with runs of equal entries, at u = 0, on every
+    /// prefix value and at or past the total.
+    #[test]
+    fn search_prefix_matches_the_binary_search_oracle(
+        weights in arb_weights(),
+        fraction in 0.0f32..1.0,
+    ) {
+        let prefix = running_sums(&weights);
+        for u in probe_draws(&prefix, fraction) {
+            prop_assert_eq!(search_prefix(&prefix, u), search_prefix_oracle(&prefix, u), "u = {}", u);
+        }
+    }
+
+    /// The tree descent returns the index *and* the traversal statistics
+    /// of the early-exit scan, for any fan-out, at the same draws.
+    #[test]
+    fn tree_descent_matches_the_scan_oracle(
+        weights in arb_weights(),
+        fanout in 2usize..40,
+        fraction in 0.0f32..1.0,
+    ) {
+        let tree = IndexTree::with_fanout(fanout, &weights);
+        for u in probe_draws(tree.leaf_prefix(), fraction) {
+            prop_assert_eq!(
+                tree.sample_with_stats(u),
+                tree_sample_oracle(fanout, &weights, u),
+                "u = {}",
+                u
+            );
+        }
+    }
+
+    /// A tree rebuilt in place, after shrinking K and then growing it,
+    /// equals a tree built fresh over the same weights.
+    #[test]
+    fn rebuild_equals_a_fresh_tree_after_shrinking_and_growing(
+        first in arb_weights(),
+        cut in 1usize..300,
+        grow in arb_weights(),
+        fanouts in (2usize..40, 2usize..40, 2usize..40),
+    ) {
+        let small: Vec<f32> = first[..cut.min(first.len())].to_vec();
+        let large: Vec<f32> = first.iter().chain(&grow).copied().collect();
+        let mut tree = IndexTree::with_fanout(fanouts.0, &first);
+        for (fanout, weights) in [(fanouts.1, &small), (fanouts.2, &large)] {
+            tree.rebuild(fanout, weights);
+            prop_assert_eq!(tree_view(&tree), tree_view(&IndexTree::with_fanout(fanout, weights)));
+        }
     }
 
     /// The index-tree total equals the weight sum regardless of fan-out.
@@ -95,19 +251,6 @@ proptest! {
                 prop_assert!(weights[k] > 0.0, "drew zero-weight bucket {}", k);
             }
         }
-    }
-
-    /// Exclusive scan: out[i] is the sum of all preceding inputs.
-    #[test]
-    fn exclusive_scan_is_prefix_sum(values in prop::collection::vec(0u32..100, 0..200)) {
-        let mut scanned = values.clone();
-        let total = culda_sparse::prefix::exclusive_scan_u32(&mut scanned);
-        let mut acc = 0u32;
-        for (i, &v) in values.iter().enumerate() {
-            prop_assert_eq!(scanned[i], acc);
-            acc += v;
-        }
-        prop_assert_eq!(total, acc);
     }
 
     /// Parallel offsets agree with the sequential definition.

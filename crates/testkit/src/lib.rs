@@ -331,6 +331,7 @@ pub mod determinism {
     //! Signatures of assignment state for bit-exactness tests.
 
     use super::SolverState;
+    use culda_sparse::DenseMatrix;
 
     /// A fully positional FNV-1a signature of the complete topic-assignment
     /// state: any single changed assignment changes the signature.
@@ -347,6 +348,36 @@ pub mod determinism {
             for &topic in zd {
                 absorb(topic as u64);
             }
+        }
+        h
+    }
+
+    /// 64-bit FNV-1a over z (each row prefixed with its length), row-major
+    /// φ (prefixed with its column count) and n_k: a digest of a trainer's
+    /// or a session's sampled state, independent of file formats, for
+    /// pinning a trajectory.
+    pub fn state_digest(z: &[Vec<u16>], phi: &DenseMatrix<u32>, nk: &[i64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut absorb = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for row in z {
+            absorb(&(row.len() as u64).to_le_bytes());
+            for t in row {
+                absorb(&t.to_le_bytes());
+            }
+        }
+        absorb(&(phi.cols() as u64).to_le_bytes());
+        for k in 0..phi.rows() {
+            for &count in phi.row(k) {
+                absorb(&count.to_le_bytes());
+            }
+        }
+        for n in nk {
+            absorb(&n.to_le_bytes());
         }
         h
     }

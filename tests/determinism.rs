@@ -9,7 +9,7 @@ use culda::baselines::{
 };
 use culda::core::{LdaConfig, SessionBuilder};
 use culda::gpusim::{DeviceSpec, Interconnect, MultiGpuSystem};
-use culda_testkit::determinism::{assert_same_assignments, z_signature};
+use culda_testkit::determinism::{assert_same_assignments, state_digest, z_signature};
 use culda_testkit::fixtures;
 
 const K: usize = 8;
@@ -112,6 +112,33 @@ fn different_seeds_actually_diverge() {
     let a = trained_culda(&corpus, 1, SEED);
     let b = trained_culda(&corpus, 1, SEED + 1);
     assert_ne!(z_signature(&a), z_signature(&b));
+}
+
+/// Four single-GPU sparse-CGS iterations, pinned by state digest at the
+/// paper's K = 256 and at K = 100, which leaves the 32-way p2 tree's last
+/// node partly filled.  The values were recorded with the kernel that read
+/// `n_k` and built its per-word state in fresh buffers in every block and
+/// searched with hand-written loops; the kernel must keep every bit of that
+/// trajectory.
+#[test]
+fn sparse_cgs_batch_trajectory_is_pinned() {
+    let corpus = fixtures::medium(fixtures::FIXTURE_SEED);
+    for (k, pinned) in [(256, 0xac21_ea86_5cb4_2c78), (100, 0xf993_cdbc_d177_f223)] {
+        let mut trainer = SessionBuilder::new()
+            .corpus(&corpus)
+            .config(LdaConfig::with_topics(k).seed(SEED))
+            .system(MultiGpuSystem::single(DeviceSpec::v100_volta(), SEED))
+            .build()
+            .unwrap();
+        trainer.train(4);
+        trainer.validate().unwrap();
+        let digest = state_digest(
+            &trainer.z_snapshot(),
+            &trainer.global_phi(),
+            &trainer.global_nk(),
+        );
+        assert_eq!(digest, pinned, "K = {k}");
+    }
 }
 
 #[test]

@@ -9,6 +9,7 @@
 use culda::core::{LdaConfig, ModelCheckpoint, SamplerStrategy, SessionBuilder, StreamingSession};
 use culda::corpus::Corpus;
 use culda::gpusim::{DeviceSpec, Interconnect, MultiGpuSystem};
+use culda_testkit::determinism::state_digest;
 use culda_testkit::fixtures;
 use std::path::PathBuf;
 
@@ -245,35 +246,6 @@ fn streaming_with_zero_burn_in_bridges_to_the_batch_trainer() {
     assert_eq!(&batch.global_phi(), stream.global_phi());
 }
 
-/// 64-bit FNV-1a over z (each row prefixed with its length), row-major φ
-/// and n_k: a digest of the sampled state, independent of file formats.
-fn state_digest(session: &StreamingSession) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut absorb = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for row in session.z_snapshot() {
-        absorb(&(row.len() as u64).to_le_bytes());
-        for t in row {
-            absorb(&t.to_le_bytes());
-        }
-    }
-    let phi = session.global_phi();
-    absorb(&(phi.cols() as u64).to_le_bytes());
-    for k in 0..phi.rows() {
-        for &count in phi.row(k) {
-            absorb(&count.to_le_bytes());
-        }
-    }
-    for &n in session.global_nk() {
-        absorb(&n.to_le_bytes());
-    }
-    h
-}
-
 /// A sliding-window run (ingest a batch, retire the oldest documents beyond
 /// the window, train) whose retired share of all documents ever ingested
 /// passes a quarter, pinned by state digest per sampler family.  The values
@@ -306,7 +278,12 @@ fn sliding_window_trajectory_is_pinned_across_retires() {
         session.validate().unwrap();
         let stats = session.stats();
         assert!(4 * stats.retired_docs > stats.ingested_docs, "{stats:?}");
-        assert_eq!(state_digest(&session), pinned, "{sampler}");
+        let digest = state_digest(
+            &session.z_snapshot(),
+            session.global_phi(),
+            session.global_nk(),
+        );
+        assert_eq!(digest, pinned, "{sampler}");
     }
 }
 
