@@ -19,9 +19,12 @@
 //! The frozen weights are stored word-major and sparse: one base vector
 //! for every zero cell, each word's non-zero weights, and a dense column
 //! only for words dense enough to need one (see [`TopicInferencer`] and
-//! DESIGN.md §12, "Frozen-model layout").  A token reads one contiguous
-//! K-wide column, replies are the bits a dense `K × V` weight matrix gives,
-//! and the model takes O(nnz(φ) + K + hot·K) memory instead of O(K·V).
+//! DESIGN.md §12, "Frozen-model layout").  A draw splits the conditional
+//! into three buckets (SparseLDA's, §6.1.1's split of the paper): one over
+//! the document's topics, one over the word's non-zeros and one smoothing
+//! bucket every word shares, so a token costs O(K_d + nnz_v) instead of a
+//! K-long prefix chain, and the model takes O(nnz(φ) + K + V + hot·K)
+//! memory instead of O(K·V).
 //!
 //! Because inference is the *serving* path — the model may come from an
 //! untrusted checkpoint on disk — construction and querying are fallible:
@@ -36,6 +39,7 @@ use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix, DenseMatrix};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 
@@ -91,6 +95,10 @@ pub enum InferenceError {
         /// Vocabulary size the model was trained on.
         model: usize,
     },
+    /// The model has more topics than a 16-bit topic index holds (`K` above
+    /// 65536, the bound training enforces), which only a corrupt checkpoint
+    /// carries.
+    TooManyTopics(usize),
 }
 
 impl std::fmt::Display for InferenceError {
@@ -118,6 +126,10 @@ impl std::fmt::Display for InferenceError {
             InferenceError::VocabMismatch { corpus, model } => write!(
                 f,
                 "corpus vocabulary does not match the model (corpus V = {corpus}, model V = {model})"
+            ),
+            InferenceError::TooManyTopics(k) => write!(
+                f,
+                "the model has {k} topics, more than a 16-bit topic index holds"
             ),
         }
     }
@@ -182,11 +194,6 @@ impl DocumentTopics {
         pairs.truncate(n);
         pairs
     }
-
-    /// The single most probable topic (`None` for an empty mixture).
-    pub fn dominant_topic(&self) -> Option<usize> {
-        self.top_topics(1).first().map(|&(k, _)| k)
-    }
 }
 
 /// A word is *hot* when `nnz · HOT_DENSITY ≥ K`: its non-zero cells fill at
@@ -200,6 +207,12 @@ const HOT_DENSITY: usize = 8;
 /// reaches this length.
 const HOT: u32 = u32::MAX;
 
+/// Topics per block of a hot word's word-bucket sums.  The frozen model
+/// keeps one running sum per block, so a draw that lands in a hot word's
+/// word bucket bisects `K / 8` sums and scans at most 8 cells instead of
+/// walking up to K.
+const BLOCK: usize = 8;
+
 /// Words per strip of the freeze's column pass.  Transposing a row-major φ
 /// stores a row's cells `K` counts apart, and at `K = 512` those 2 KiB
 /// strides fall into two L1 sets: 16 lines fit them, 64 thrash.  On a
@@ -210,36 +223,86 @@ const STRIP: usize = 16;
 /// Where one word's weights live in the frozen model.
 #[derive(Debug, Clone, Copy)]
 struct WordColumn {
-    /// First entry of the word's sparse column, or its dense slot if hot.
+    /// First cell of the word's sparse column, or its dense slot if hot.
     start: u32,
     /// Non-zero cells of the word, or [`HOT`].
     len: u32,
 }
 
+/// A cell's share of the word bucket: `α · (w − base)`, which is
+/// `α · φ_{k,v} / (n_k + Vβ)` up to rounding.  The freeze sums it over a
+/// word's cells in topic order and the word-bucket scan repeats the same
+/// sum, so the scan's last running sum is the stored bucket mass exactly.
+/// A zero cell (`w == base`) adds exactly `+0.0`.
+#[inline]
+fn word_term(alpha: f64, w: f64, base: f64) -> f64 {
+    alpha * (w - base)
+}
+
+/// The word-bucket mass of a block of a hot word's column: [`word_term`]
+/// summed in topic order, as the word-bucket scan sums it.
+fn block_mass(alpha: f64, weights: &[f64], base: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (&w, &b) in weights.iter().zip(base) {
+        s += word_term(alpha, w, b);
+    }
+    s
+}
+
 /// A frozen LDA model that can answer topic queries for unseen documents.
 ///
-/// The smoothed weights `(φ_{k,v} + β) / (n_k + Vβ)` never change during
-/// inference, so they are computed once, in three word-major parts:
+/// The smoothed weights `w_{k,v} = (φ_{k,v} + β) / (n_k + Vβ)` never change
+/// during inference, so they are computed once, in three word-major parts:
 ///
-/// * a K-wide base vector `β / (n_k + Vβ)`, the weight of every zero cell;
+/// * a K-wide base vector `base_k = β / (n_k + Vβ)`, the weight of every
+///   zero cell;
 /// * for each word with fewer than `K / 8` non-zero cells, its non-zero
-///   `(topic, weight)` pairs in topic order;
+///   topics (`u16`) and weights (`f64`) in two parallel arrays, in topic
+///   order;
 /// * for each other (*hot*) word, its full K-wide weight column.
 ///
-/// That is `16·nnz(φ) + 8·K·(hot + 1) + 8·V` bytes at most, where a dense
-/// `K × V` matrix would take `8·K·V`.  Each token of the fold-in chain reads
-/// one contiguous K-wide column, so replies are bit-identical to a walk of
-/// the dense matrix (DESIGN.md §12, "Frozen-model layout").
+/// A fold-in draw splits `p(k) ∝ (n_{d,k} + α) · w_{k,v}` into three
+/// buckets, with `w = base + φ / (n_k + Vβ)`:
+///
+/// * the **doc bucket** `D = Σ n_{d,k} · w_{k,v}` over the document's
+///   topics, summed per draw in O(K_d);
+/// * the **word bucket** `R_v = Σ α · (w_{k,v} − base_k)` over the word's
+///   non-zeros, whose total is stored per word and whose cells are scanned
+///   only when the draw lands there;
+/// * the **smoothing bucket** `S = Σ_k α · base_k`, shared by every word,
+///   whose running sums are stored once and searched by bisection.
+///
+/// A hot word also keeps the running sum of its word bucket at the end of
+/// every block of 8 topics, so a draw that lands there bisects `K / 8` sums
+/// and scans at most 8 cells.
+///
+/// The model holds `10·nnz_s + 8·K·(hot + 2) + 8·⌈K/8⌉·hot + 16·V` bytes,
+/// where `nnz_s` counts the sparse words' non-zeros.  One `(u32, f64)` pair
+/// per sparse cell would take `16·nnz_s + 8·K·(hot + 1) + 8·V`; the 6 bytes
+/// saved per cell pay for the smoothing sums, the block sums and `R_v`
+/// whenever `6·nnz_s ≥ 8·(K + V) + 8·⌈K/8⌉·hot`, as on every benchmark
+/// model.  Either is far below the `8·K·V` of a dense matrix (DESIGN.md
+/// §12, "Frozen-model layout").
 pub struct TopicInferencer {
     /// `β / (n_k + Vβ)` per topic.
     base: Vec<f64>,
+    /// Running sums of `α · base_k` in topic order; the last is `S`.
+    smoothing: Vec<f64>,
     /// One entry per word of the vocabulary.
     columns: Vec<WordColumn>,
-    /// The sparse words' non-zero `(topic, weight)` cells, word after word,
-    /// each word's in topic order.
-    entries: Vec<(u32, f64)>,
+    /// Each word's word-bucket mass `R_v`.
+    word_mass: Vec<f64>,
+    /// The sparse words' non-zero topics, word after word, each word's in
+    /// topic order.
+    topics: Vec<u16>,
+    /// The weights of the cells of `topics`.
+    weights: Vec<f64>,
     /// The hot words' K-wide weight columns, one after another.
     dense: Vec<f64>,
+    /// Each hot word's word-bucket running sums at the end of every
+    /// [`BLOCK`] of topics, `⌈K / 8⌉` per word, in the order of `dense`;
+    /// the last is the word's `R_v`.
+    blocks: Vec<f64>,
     alpha: f64,
 }
 
@@ -321,6 +384,9 @@ impl TopicInferencer {
         if !(alpha > 0.0 && alpha.is_finite() && beta > 0.0 && beta.is_finite()) {
             return Err(InferenceError::InvalidPrior { alpha, beta });
         }
+        if num_topics > usize::from(u16::MAX) + 1 {
+            return Err(InferenceError::TooManyTopics(num_topics));
+        }
         let k = num_topics;
 
         // Denominators in topic order, up to the first corrupt one: the
@@ -339,18 +405,26 @@ impl TopicInferencer {
             denoms.push(denom);
         }
         let base: Vec<f64> = denoms.iter().map(|&denom| beta / denom).collect();
+        let mut smoothing = Vec::with_capacity(k);
+        let mut s = 0.0;
+        for &b in &base {
+            s += alpha * b;
+            smoothing.push(s);
+        }
 
         // Non-zero cells are checked at topics below `limit`: the least
         // topic of a faulty cell found so far, or of a corrupt denominator.
         // A later word's fault at a lower topic comes first in row-major
         // order.  Hot words get a dense slot, the rest a run of sparse
-        // entries, in topic order.
+        // cells, in topic order; each word gets its word-bucket mass.
         let mut limit = denoms.len();
         let mut corrupt_cell = None;
         let mut strip = vec![0u32; k * STRIP.min(vocab)];
-        let mut cells: Vec<(u32, f64)> = Vec::new();
+        let mut cells: Vec<(u16, f64)> = Vec::new();
         let mut columns = Vec::with_capacity(vocab);
-        let (mut entries, mut dense) = (Vec::new(), Vec::new());
+        let mut word_mass = Vec::with_capacity(vocab);
+        let (mut topics, mut weights) = (Vec::new(), Vec::new());
+        let (mut dense, mut blocks) = (Vec::new(), Vec::new());
         let to_u32 = |n: usize| u32::try_from(n).expect("frozen model offsets fit in u32");
         for w0 in (0..vocab).step_by(STRIP) {
             let words = w0..(w0 + STRIP).min(vocab);
@@ -368,7 +442,7 @@ impl TopicInferencer {
                         limit = topic;
                         break;
                     }
-                    cells.push((topic as u32, w));
+                    cells.push((topic as u16, w));
                 }
                 if corrupt_cell.is_some() || corrupt_topic.is_some() {
                     continue;
@@ -383,25 +457,43 @@ impl TopicInferencer {
                     for &(topic, w) in &cells {
                         dense[start + topic as usize] = w;
                     }
+                    let mut r = 0.0;
+                    for (ws, bs) in dense[start..].chunks(BLOCK).zip(base.chunks(BLOCK)) {
+                        r += block_mass(alpha, ws, bs);
+                        blocks.push(r);
+                    }
+                    word_mass.push(r);
                 } else {
+                    word_mass.push(
+                        cells
+                            .iter()
+                            .fold(0.0, |r, &(t, w)| r + word_term(alpha, w, base[t as usize])),
+                    );
                     columns.push(WordColumn {
-                        start: to_u32(entries.len()),
+                        start: to_u32(topics.len()),
                         len: to_u32(cells.len()),
                     });
-                    entries.extend_from_slice(&cells);
+                    topics.extend(cells.iter().map(|&(t, _)| t));
+                    weights.extend(cells.iter().map(|&(_, w)| w));
                 }
             }
         }
         if let Some(e) = corrupt_cell.or(corrupt_topic) {
             return Err(e);
         }
-        entries.shrink_to_fit();
+        topics.shrink_to_fit();
+        weights.shrink_to_fit();
         dense.shrink_to_fit();
+        blocks.shrink_to_fit();
         Ok(TopicInferencer {
             base,
+            smoothing,
             columns,
-            entries,
+            word_mass,
+            topics,
+            weights,
             dense,
+            blocks,
             alpha,
         })
     }
@@ -441,56 +533,99 @@ impl TopicInferencer {
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.base.capacity() * size_of::<f64>()
+        (self.base.capacity() + self.smoothing.capacity()) * size_of::<f64>()
             + self.columns.capacity() * size_of::<WordColumn>()
-            + self.entries.capacity() * size_of::<(u32, f64)>()
-            + self.dense.capacity() * size_of::<f64>()
-    }
-
-    /// The K weights `(φ_{k,v} + β) / (n_k + Vβ)` of `word`: a hot word's
-    /// stored column, or else the base vector with the word's non-zero
-    /// weights scattered over it in `scratch`.
-    fn weights<'a>(&'a self, word: usize, scratch: &'a mut [f64]) -> &'a [f64] {
-        let col = self.columns[word];
-        let start = col.start as usize;
-        if col.len == HOT {
-            let k = self.base.len();
-            return &self.dense[start * k..(start + 1) * k];
-        }
-        scratch.copy_from_slice(&self.base);
-        for &(topic, w) in &self.entries[start..start + col.len as usize] {
-            scratch[topic as usize] = w;
-        }
-        scratch
+            + self.word_mass.capacity() * size_of::<f64>()
+            + self.topics.capacity() * size_of::<u16>()
+            + (self.weights.capacity() + self.dense.capacity() + self.blocks.capacity())
+                * size_of::<f64>()
     }
 
     /// One fold-in transition: draw a topic for a token of `word` from
-    /// `p(k) ∝ (n_{d,k} + α) · (φ_{k,v} + β) / (n_k + Vβ)`, where
-    /// `doc_counts` holds the document's counts without the token and `u` is
-    /// a uniform draw in `[0, 1)`.  The prefix sums run in topic order and
-    /// the search inverts them at `u · total`.
-    fn draw(
-        &self,
-        word: usize,
-        doc_counts: &[u32],
-        u: f64,
-        scratch: &mut [f64],
-        prefix: &mut [f64],
-    ) -> usize {
-        let weights = self.weights(word, scratch);
-        let mut total = 0.0;
-        for ((p, &n), &w) in prefix.iter_mut().zip(doc_counts).zip(weights) {
-            total += (n as f64 + self.alpha) * w;
-            *p = total;
+    /// `p(k) ∝ (n_{d,k} + α) · (φ_{k,v} + β) / (n_k + Vβ)`, where `doc`
+    /// holds the document's counts without the token and `u` is a uniform
+    /// draw in `[0, 1)`.
+    ///
+    /// `u · (D + R_v + S)` falls in the doc bucket, the word bucket or the
+    /// smoothing bucket, in that order.  Each bucket is searched over the
+    /// running sums its mass was formed from, so a target below a bucket's
+    /// mass always finds a topic in it.  The comparisons are negated
+    /// (`!(x < sum)`), so a NaN target falls through every bucket to the
+    /// last topic instead of panicking.
+    fn draw(&self, word: usize, doc: &mut DocState, u: f64) -> usize {
+        let (d, dr) = self.masses(word, doc);
+        let total = dr + self.smoothing[self.base.len() - 1];
+        self.invert(word, doc, d, dr, u * total)
+    }
+
+    /// The doc bucket's mass `D` and `D + R_v` for a token of `word`; the
+    /// doc bucket's running sums are left in `doc.prefix`.  A sparse word's
+    /// cells are scattered over `doc.column` for the sum and restored after.
+    fn masses(&self, word: usize, doc: &mut DocState) -> (f64, f64) {
+        let col = self.columns[word];
+        let start = col.start as usize;
+        let d = if col.len == HOT {
+            let k = self.base.len();
+            let column = &self.dense[start * k..(start + 1) * k];
+            doc_mass(&doc.counts, &doc.topics, column, &mut doc.prefix)
+        } else {
+            let cells = start..start + col.len as usize;
+            let topics = &self.topics[cells.clone()];
+            for (&t, &w) in topics.iter().zip(&self.weights[cells]) {
+                doc.column[t as usize] = w;
+            }
+            let d = doc_mass(&doc.counts, &doc.topics, &doc.column, &mut doc.prefix);
+            for &t in topics {
+                doc.column[t as usize] = self.base[t as usize];
+            }
+            d
+        };
+        (d, d + self.word_mass[word])
+    }
+
+    /// The topic at target `x` of the buckets [`TopicInferencer::masses`]
+    /// returned: the doc bucket below `d`, the word bucket below `dr`, the
+    /// smoothing bucket above.
+    fn invert(&self, word: usize, doc: &DocState, d: f64, dr: f64, x: f64) -> usize {
+        let k = self.base.len();
+        if x < d {
+            let n = doc.topics.len();
+            let i = doc.prefix[..n].partition_point(|&p| !(x < p));
+            return doc.topics[i] as usize;
         }
-        // `total_cmp` gives a total order over f64, so the search cannot
-        // panic even if a corrupt weight slipped a NaN into the prefix sums
-        // (`try_new` rejects those up front; this is the second line of
-        // defence for the serving path).
-        let target = u * total;
-        match prefix.binary_search_by(|x| x.total_cmp(&target)) {
-            Ok(idx) | Err(idx) => idx.min(prefix.len() - 1),
+        if x < dr {
+            let col = self.columns[word];
+            let start = col.start as usize;
+            if col.len == HOT {
+                // The first block whose running sum passes `x`, then the
+                // cell inside it, summed as the freeze summed the block.
+                let nb = k.div_ceil(BLOCK);
+                let blocks = &self.blocks[start * nb..(start + 1) * nb];
+                let j = blocks.partition_point(|&p| !(x < d + p)).min(nb - 1);
+                let before = if j == 0 { 0.0 } else { blocks[j - 1] };
+                let topics = j * BLOCK..((j + 1) * BLOCK).min(k);
+                let column = &self.dense[start * k..(start + 1) * k];
+                let mut s = 0.0;
+                for t in topics {
+                    s += word_term(self.alpha, column[t], self.base[t]);
+                    if x < d + (before + s) {
+                        return t;
+                    }
+                }
+            } else {
+                let mut r = 0.0;
+                let cells = start..start + col.len as usize;
+                for (&t, &w) in self.topics[cells.clone()].iter().zip(&self.weights[cells]) {
+                    r += word_term(self.alpha, w, self.base[t as usize]);
+                    if x < d + r {
+                        return t as usize;
+                    }
+                }
+            }
         }
+        self.smoothing
+            .partition_point(|&s| !(x < dr + s))
+            .min(k - 1)
     }
 
     /// Infer the topic mixture of a single document given as word ids.
@@ -528,14 +663,39 @@ impl TopicInferencer {
         rng: &mut ChaCha8Rng,
     ) -> DocumentTopics {
         let k = self.num_topics();
-        let tokens: Vec<usize> = words
-            .iter()
-            .filter(|&&w| (w as usize) < self.vocab_size())
-            .map(|&w| w as usize)
-            .collect();
-        let mut doc_counts = vec![0u32; k];
         let mut accumulated = vec![0u32; k];
-        if tokens.is_empty() {
+        let kept = CHAIN.with(|chain| {
+            let mut chain = chain.borrow_mut();
+            let Chain { tokens, z, doc } = &mut *chain;
+            tokens.clear();
+            tokens.extend(words.iter().filter(|&&w| (w as usize) < self.vocab_size()));
+            if tokens.is_empty() {
+                return 0;
+            }
+
+            // Random initial assignment.
+            doc.reset(&self.base);
+            z.clear();
+            z.extend(tokens.iter().map(|_| rng.gen_range(0..k) as u16));
+            for &t in z.iter() {
+                doc.add(t);
+            }
+
+            for sweep in 0..options.sweeps {
+                for (t, &v) in z.iter_mut().zip(tokens.iter()) {
+                    doc.remove(*t);
+                    *t = self.draw(v as usize, doc, rng.gen()) as u16;
+                    doc.add(*t);
+                }
+                if sweep >= options.burn_in {
+                    for &t in &doc.topics {
+                        accumulated[t as usize] += doc.counts[t as usize];
+                    }
+                }
+            }
+            tokens.len()
+        });
+        if kept == 0 {
             let mixture = vec![1.0 / k as f64; k];
             return DocumentTopics {
                 counts: accumulated,
@@ -543,31 +703,9 @@ impl TopicInferencer {
             };
         }
 
-        // Random initial assignment.
-        let mut z: Vec<usize> = tokens.iter().map(|_| rng.gen_range(0..k)).collect();
-        for &t in &z {
-            doc_counts[t] += 1;
-        }
-
-        let mut prefix = vec![0.0f64; k];
-        let mut scratch = vec![0.0f64; k];
-        for sweep in 0..options.sweeps {
-            for (i, &v) in tokens.iter().enumerate() {
-                doc_counts[z[i]] -= 1;
-                let new = self.draw(v, &doc_counts, rng.gen(), &mut scratch, &mut prefix);
-                z[i] = new;
-                doc_counts[new] += 1;
-            }
-            if sweep >= options.burn_in {
-                for (acc, &c) in accumulated.iter_mut().zip(&doc_counts) {
-                    *acc += c;
-                }
-            }
-        }
-
         // Average the counts over the kept sweeps, smooth with α, normalise.
         let kept_sweeps = (options.sweeps - options.burn_in) as f64;
-        let denom = tokens.len() as f64 + k as f64 * self.alpha;
+        let denom = kept as f64 + k as f64 * self.alpha;
         let mixture: Vec<f64> = accumulated
             .iter()
             .map(|&c| (c as f64 / kept_sweeps + self.alpha) / denom)
@@ -650,6 +788,83 @@ impl TopicInferencer {
     }
 }
 
+/// The document side of one fold-in chain: `n_{d,k}` and the topics it is
+/// non-zero at, kept in step with every move.
+#[derive(Default)]
+struct DocState {
+    /// `n_{d,k}`, without the token being drawn.
+    counts: Vec<u32>,
+    /// The topics with `n_{d,k} > 0`, in the order they entered.
+    topics: Vec<u16>,
+    /// Where each topic of `topics` sits in it.
+    slot: Vec<u16>,
+    /// The model's base vector, which a sparse word's cells are scattered
+    /// over for one draw and restored from after it.
+    column: Vec<f64>,
+    /// The doc bucket's running sums over `topics`.
+    prefix: Vec<f64>,
+}
+
+impl DocState {
+    /// An empty document over the `K` topics of `base`.
+    fn reset(&mut self, base: &[f64]) {
+        let k = base.len();
+        self.counts.clear();
+        self.counts.resize(k, 0);
+        self.topics.clear();
+        self.slot.resize(k, 0);
+        self.column.clear();
+        self.column.extend_from_slice(base);
+        self.prefix.resize(k, 0.0);
+    }
+
+    fn add(&mut self, t: u16) {
+        let c = &mut self.counts[t as usize];
+        if *c == 0 {
+            self.slot[t as usize] = self.topics.len() as u16;
+            self.topics.push(t);
+        }
+        *c += 1;
+    }
+
+    fn remove(&mut self, t: u16) {
+        let c = &mut self.counts[t as usize];
+        *c -= 1;
+        if *c == 0 {
+            let i = self.slot[t as usize];
+            self.topics.swap_remove(i as usize);
+            if let Some(&moved) = self.topics.get(i as usize) {
+                self.slot[moved as usize] = i;
+            }
+        }
+    }
+}
+
+/// The doc bucket `D = Σ n_{d,k} · weights[k]` over the document's
+/// `topics`, leaving its running sums in `prefix`.
+fn doc_mass(counts: &[u32], topics: &[u16], weights: &[f64], prefix: &mut [f64]) -> f64 {
+    let mut d = 0.0;
+    for (p, &t) in prefix.iter_mut().zip(topics) {
+        d += counts[t as usize] as f64 * weights[t as usize];
+        *p = d;
+    }
+    d
+}
+
+/// One thread's fold-in buffers, reused by every document it infers.
+#[derive(Default)]
+struct Chain {
+    /// The document's in-vocabulary tokens.
+    tokens: Vec<WordId>,
+    /// Each token's topic.
+    z: Vec<u16>,
+    doc: DocState,
+}
+
+thread_local! {
+    static CHAIN: RefCell<Chain> = RefCell::default();
+}
+
 /// The RNG of document `d` in a corpus query: derived from the document's
 /// index, so replies do not depend on how documents land on threads.
 fn doc_rng(seed: u64, d: usize) -> ChaCha8Rng {
@@ -697,8 +912,8 @@ mod tests {
         let opts = InferenceOptions::default();
         let doc0 = model.infer_document(&[0, 1, 2, 3, 4, 0, 1], opts);
         let doc1 = model.infer_document(&[5, 6, 7, 8, 9, 9], opts);
-        assert_eq!(doc0.dominant_topic(), Some(0));
-        assert_eq!(doc1.dominant_topic(), Some(1));
+        assert_eq!(doc0.top_topics(1)[0].0, 0);
+        assert_eq!(doc1.top_topics(1)[0].0, 1);
         assert!(doc0.mixture[0] > 0.8, "mixture {:?}", doc0.mixture);
         assert!(doc1.mixture[1] > 0.8, "mixture {:?}", doc1.mixture);
     }
@@ -721,7 +936,7 @@ mod tests {
         let opts = InferenceOptions::default();
         let empty = model.infer_document(&[], opts);
         assert!((empty.mixture[0] - 0.5).abs() < 1e-12);
-        assert_eq!(empty.dominant_topic(), Some(0));
+        assert_eq!(empty.top_topics(1)[0].0, 0);
         // Word ids beyond V are skipped entirely.
         let oov = model.infer_document(&[42, 99], opts);
         assert!((oov.mixture[0] - 0.5).abs() < 1e-12);
@@ -742,8 +957,8 @@ mod tests {
         let corpus = b.build();
         let results = model.infer_corpus(&corpus, opts);
         assert_eq!(results.len(), 3);
-        assert_eq!(results[0].dominant_topic(), Some(0));
-        assert_eq!(results[1].dominant_topic(), Some(1));
+        assert_eq!(results[0].top_topics(1)[0].0, 0);
+        assert_eq!(results[1].top_topics(1)[0].0, 1);
         // Counts matrix has one row per document and only non-zero entries.
         let counts = model.infer_corpus_counts(&corpus, opts);
         assert_eq!(counts.rows(), 3);
@@ -914,24 +1129,37 @@ mod tests {
         (phi, nk)
     }
 
-    fn assert_same_reply(got: &DocumentTopics, want: &DocumentTopics) {
-        let bits = |d: &DocumentTopics| d.mixture.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(got.counts, want.counts);
-        assert_eq!(bits(got), bits(want));
+    /// The K weights of `word` as the K-wide prefix chain the buckets
+    /// replaced read them: a hot word's stored column, or the base vector
+    /// with the word's non-zero weights scattered over it.
+    fn column_weights(model: &TopicInferencer, word: usize) -> Vec<f64> {
+        let col = model.columns[word];
+        let (k, start) = (model.num_topics(), col.start as usize);
+        if col.len == HOT {
+            return model.dense[start * k..(start + 1) * k].to_vec();
+        }
+        let mut column = model.base.clone();
+        let cells = start..start + col.len as usize;
+        for (&t, &w) in model.topics[cells.clone()]
+            .iter()
+            .zip(&model.weights[cells])
+        {
+            column[t as usize] = w;
+        }
+        column
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn replies_are_bit_identical_to_the_dense_topic_major_model() {
-        let v = 40;
-        let opts = InferenceOptions {
-            sweeps: 8,
-            burn_in: 2,
-            seed: 99,
-        };
+    fn frozen_weights_are_bit_identical_to_the_dense_topic_major_model() {
+        let (v, alpha) = (40, 0.1);
         for (i, &k) in [1usize, 2, 8, 96, 512].iter().enumerate() {
             let (phi, nk) = random_counts(k, v, 11 + i as u64);
-            let model = TopicInferencer::try_new(&phi, &nk, 0.1, 0.01).unwrap();
-            let reference = DenseReference::try_new(&phi, &nk, 0.1, 0.01).unwrap();
+            let model = TopicInferencer::try_new(&phi, &nk, alpha, 0.01).unwrap();
+            let reference = DenseReference::try_new(&phi, &nk, alpha, 0.01).unwrap();
             let hot = |w: usize| model.columns[w].len == HOT;
             // Word 1 sits one non-zero below the hot rule, word 2 on it.
             assert!(!hot(0) && !hot(1) && hot(2) && hot(3), "K = {k}");
@@ -941,41 +1169,30 @@ mod tests {
                 assert!(!hot(5) && model.columns[5].len == 2);
                 assert!(model.columns[1].len > 0);
             }
-
-            let mut rng = ChaCha8Rng::seed_from_u64(k as u64);
-            let oov = v as WordId;
-            let mut docs: Vec<Vec<WordId>> = vec![
-                vec![],
-                vec![oov, oov + 7],
-                vec![2, 2, 2, 3, 3, oov, 4, 4, 0],
-                // Consecutive tokens of two sparse words with different
-                // non-zeros: the scratch column must carry nothing over.
-                vec![1, 5, 1, 5, 0, 5],
-            ];
-            docs.extend((0..6).map(|_| {
-                let len = rng.gen_range(1..40);
-                (0..len)
-                    .map(|_| rng.gen_range(0..v as WordId + 3))
-                    .collect()
-            }));
-            for doc in &docs {
-                let got = model.try_infer_document(doc, opts).unwrap();
-                let want = reference.infer(doc, opts, &mut ChaCha8Rng::seed_from_u64(opts.seed));
-                assert_same_reply(&got, &want);
+            let mut s = 0.0;
+            for (t, &b) in model.base.iter().enumerate() {
+                s += alpha * b;
+                assert_eq!(model.smoothing[t].to_bits(), s.to_bits(), "K = {k}");
             }
-
-            let mut b = CorpusBuilder::new(v);
-            for doc in &docs {
-                let in_vocab: Vec<WordId> =
-                    doc.iter().copied().filter(|&w| (w as usize) < v).collect();
-                b.push_doc(&in_vocab);
-            }
-            let corpus = b.build();
-            let got = model.try_infer_corpus(&corpus, opts).unwrap();
-            assert_eq!(got.len(), corpus.num_docs());
-            for (d, reply) in got.iter().enumerate() {
-                let want = reference.infer(corpus.doc(d), opts, &mut doc_rng(opts.seed, d));
-                assert_same_reply(reply, &want);
+            for word in 0..v {
+                let column = column_weights(&model, word);
+                let want: Vec<f64> = (0..k).map(|t| reference.weight.get(t, word)).collect();
+                assert_eq!(bits(&column), bits(&want), "K = {k}, word {word}");
+                // R_v is the word-bucket terms of the column, summed the way
+                // the scan sums them: per block for a hot word, cell by cell
+                // (a zero cell adds +0.0) for a sparse one.
+                let r = if hot(word) {
+                    column
+                        .chunks(BLOCK)
+                        .zip(model.base.chunks(BLOCK))
+                        .fold(0.0, |r, (ws, bs)| r + block_mass(alpha, ws, bs))
+                } else {
+                    column
+                        .iter()
+                        .zip(&model.base)
+                        .fold(0.0, |r, (&w, &b)| r + word_term(alpha, w, b))
+                };
+                assert_eq!(model.word_mass[word].to_bits(), r.to_bits(), "word {word}");
             }
         }
     }
@@ -1053,7 +1270,7 @@ mod tests {
         assert_eq!(same_error(&phi, &nk, 0.1, beta), None);
 
         // The reverse: a base weight that underflows to zero beside normal
-        // non-zero weights is still a valid model, and replies still match.
+        // non-zero weights is still a valid model, with the same weights.
         // (A base weight can never overflow where a non-zero weight stays
         // finite: division is monotone and c + β ≥ β.)
         let beta = 5e-324;
@@ -1061,12 +1278,41 @@ mod tests {
         assert_eq!(same_error(&phi, &nk, 0.1, beta), None);
         let model = TopicInferencer::try_new(&phi, &nk, 0.1, beta).unwrap();
         assert!(model.base.iter().all(|&b| b == 0.0));
+        assert_eq!(model.smoothing[3], 0.0);
         let reference = DenseReference::try_new(&phi, &nk, 0.1, beta).unwrap();
+        for word in 0..5 {
+            let want: Vec<f64> = (0..4).map(|t| reference.weight.get(t, word)).collect();
+            assert_eq!(bits(&column_weights(&model, word)), bits(&want));
+        }
+        // Word 0's only non-zero weight is at topic 3 and word 1's at topic
+        // 0, so every draw of theirs lands there; words 2 and 4 have no
+        // mass at all and still draw a valid topic.
         let opts = InferenceOptions::default();
-        for doc in [vec![0, 1, 2, 1, 4, 0], vec![2, 4]] {
-            let got = model.try_infer_document(&doc, opts).unwrap();
-            let want = reference.infer(&doc, opts, &mut ChaCha8Rng::seed_from_u64(opts.seed));
-            assert_same_reply(&got, &want);
+        let kept = (opts.sweeps - opts.burn_in) as u32;
+        let reply = model.try_infer_document(&[0, 1, 2, 1, 4, 0], opts).unwrap();
+        assert!(reply.counts[3] >= 2 * kept && reply.counts[0] >= 2 * kept);
+        assert_eq!(reply.counts.iter().sum::<u32>(), 6 * kept);
+        let reply = model.try_infer_document(&[2, 4], opts).unwrap();
+        assert_eq!(reply.counts.iter().sum::<u32>(), 2 * kept);
+        assert!((reply.mixture.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn more_topics_than_a_u16_index_holds_is_a_typed_error() {
+        let k = usize::from(u16::MAX) + 1;
+        for (topics, want) in [
+            (k + 1, Some(InferenceError::TooManyTopics(k + 1))),
+            (k, None),
+        ] {
+            let mut phi = DenseMatrix::zeros(topics, 2);
+            phi.set(topics - 1, 0, 5);
+            let got = TopicInferencer::try_new(&phi, &topic_totals(&phi), 0.1, 0.01);
+            assert_eq!(got.as_ref().err(), want.as_ref());
+            if let Ok(model) = got {
+                // The largest topic id still round-trips the 16-bit chain.
+                let reply = model.try_infer_document(&[0, 0, 1], InferenceOptions::default());
+                assert_eq!(reply.unwrap().counts.len(), k);
+            }
         }
     }
 
@@ -1116,16 +1362,21 @@ mod tests {
             let digest =
                 |m: &TopicInferencer| replies_digest(&m.try_infer_corpus(&corpus, opts).unwrap());
             assert_eq!(digest(&got), digest(&want), "K = {k}");
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got.base), bits(&want.base));
-            assert_eq!(bits(&got.dense), bits(&want.dense));
-            let cells = |m: &TopicInferencer| {
-                let layout: Vec<(u32, u32)> = m.columns.iter().map(|c| (c.start, c.len)).collect();
-                let entries: Vec<(u32, u64)> =
-                    m.entries.iter().map(|&(t, w)| (t, w.to_bits())).collect();
-                (layout, entries)
+            for (g, w) in [
+                (&got.base, &want.base),
+                (&got.smoothing, &want.smoothing),
+                (&got.word_mass, &want.word_mass),
+                (&got.weights, &want.weights),
+                (&got.dense, &want.dense),
+                (&got.blocks, &want.blocks),
+            ] {
+                assert_eq!(bits(g), bits(w), "K = {k}");
+            }
+            let layout = |m: &TopicInferencer| -> Vec<(u32, u32)> {
+                m.columns.iter().map(|c| (c.start, c.len)).collect()
             };
-            assert_eq!(cells(&got), cells(&want));
+            assert_eq!(layout(&got), layout(&want));
+            assert_eq!(got.topics, want.topics);
             assert_eq!(got.heap_bytes(), want.heap_bytes());
         }
     }
@@ -1216,6 +1467,39 @@ mod tests {
         assert_eq!(same_column_error(&phi, &nk, 0.1, beta), None);
     }
 
+    /// What the layout the buckets replaced held for the same hot/sparse
+    /// split: the base vector, one `(start, len)` per word, one `(u32, f64)`
+    /// pair (16 B with padding) per sparse cell and the hot columns.
+    fn pair_layout_bytes(model: &TopicInferencer) -> usize {
+        let (k, v) = (model.num_topics(), model.vocab_size());
+        8 * k + 8 * v + 16 * model.topics.len() + 8 * model.dense.len()
+    }
+
+    /// A `K × V` count matrix shaped like a trained φ over `tokens` tokens
+    /// of a Zipf vocabulary: word `v` has about `tokens / (v + 1)^1.05 / H`
+    /// tokens, half on a few home topics of its own, half spread at random.
+    fn zipf_counts(k: usize, v: usize, tokens: f64, seed: u64) -> (DenseMatrix<u32>, Vec<i64>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let h: f64 = (1..=v).map(|r| (r as f64).powf(-1.05)).sum();
+        let mut phi = DenseMatrix::zeros(k, v);
+        for word in 0..v {
+            let n = (tokens * ((word + 1) as f64).powf(-1.05) / h)
+                .round()
+                .max(1.0) as usize;
+            let home = rng.gen_range(0..k);
+            for _ in 0..n {
+                let t = if rng.gen::<bool>() {
+                    (home + rng.gen_range(0..4)) % k
+                } else {
+                    rng.gen_range(0..k)
+                };
+                phi.set(t, word, phi.get(t, word) + 1);
+            }
+        }
+        let nk = topic_totals(&phi);
+        (phi, nk)
+    }
+
     #[test]
     fn frozen_model_memory_is_bounded_by_its_non_zeros() {
         let v = 60;
@@ -1224,12 +1508,14 @@ mod tests {
             let model = TopicInferencer::try_new(&phi, &nk, 0.1, 0.01).unwrap();
             let nnz = phi.as_slice().iter().filter(|&&c| c != 0).count();
             let hot = model.dense.len() / k;
-            let bound = 16 * nnz + 8 * k * (hot + 1) + 8 * (v + 1);
-            assert!(
-                model.heap_bytes() <= bound,
-                "K = {k}: {} > {bound}",
-                model.heap_bytes()
-            );
+            let sparse = model.topics.len();
+            assert_eq!(model.weights.len(), sparse);
+            assert!(sparse <= nnz);
+            // 10 B per sparse cell, the base vector and the smoothing sums,
+            // a column and `⌈K / 8⌉` block sums per hot word, and a
+            // `(start, len)` and an `R_v` per word.
+            let layout = 10 * sparse + 16 * k + 8 * (k + k.div_ceil(BLOCK)) * hot + 16 * v;
+            assert_eq!(model.heap_bytes(), layout, "K = {k}");
         }
         // One non-zero per word: a small fraction of the dense K × V matrix.
         let (k, v) = (512, 2_000);
@@ -1240,6 +1526,24 @@ mod tests {
         let model = TopicInferencer::try_new(&phi, &topic_totals(&phi), 0.1, 0.01).unwrap();
         assert!(model.dense.is_empty());
         assert!(model.heap_bytes() * 100 < 8 * k * v);
+        // Models shaped like the tail-heavy (K = 512, V = 20k, 240 k
+        // tokens) and NYTimes (K = 256, V = 7892, 600 k tokens) benchmark
+        // models: 6 B saved per sparse cell pay for the smoothing sums, the
+        // word-bucket masses and the block sums, so the model is no larger
+        // than the pair layout, and within the old bound
+        // `16·nnz + 8·K·(hot + 1) + 8·(V + 1)`.
+        for (k, v, tokens) in [(512, 20_000, 240e3), (256, 7_892, 600e3)] {
+            let (phi, nk) = zipf_counts(k, v, tokens, 9);
+            let model = TopicInferencer::try_new(&phi, &nk, 50.0 / k as f64, 0.01).unwrap();
+            let nnz = phi.as_slice().iter().filter(|&&c| c != 0).count();
+            let hot = model.dense.len() / k;
+            let old_bound = 16 * nnz + 8 * k * (hot + 1) + 8 * (v + 1);
+            let (bytes, pairs) = (model.heap_bytes(), pair_layout_bytes(&model));
+            assert!(
+                bytes <= pairs && pairs <= old_bound,
+                "K = {k}: {bytes} > {pairs}"
+            );
+        }
     }
 
     /// `P(χ²_df ≥ stat)`: the regularized upper incomplete gamma function
@@ -1346,46 +1650,252 @@ mod tests {
         chi_square_survival(stat, cells - 1)
     }
 
-    #[test]
-    fn each_draw_follows_the_exact_fold_in_conditional() {
-        const DRAWS: usize = 200_000;
-        let (k, v) = (24usize, 5usize);
-        let (alpha, beta) = (0.1, 0.05);
-        let mut phi = DenseMatrix::zeros(k, v);
-        // Word 0 is hot (a non-zero in every other topic), word 1 sparse
-        // (two non-zeros); words 2–4 carry the rest of each topic's mass.
+    /// A document state holding `counts`, as the chain holds it between
+    /// draws.
+    fn doc_state(model: &TopicInferencer, counts: &[u32]) -> DocState {
+        let mut doc = DocState::default();
+        doc.reset(&model.base);
+        for (t, &c) in counts.iter().enumerate() {
+            for _ in 0..c {
+                doc.add(t as u16);
+            }
+        }
+        doc
+    }
+
+    /// The exact conditional `(n_{d,k} + α) · w_{k,v}` of every topic.
+    fn exact_masses(model: &TopicInferencer, word: usize, counts: &[u32]) -> Vec<f64> {
+        let column = column_weights(model, word);
+        counts
+            .iter()
+            .zip(&column)
+            .map(|(&n, &w)| (n as f64 + model.alpha) * w)
+            .collect()
+    }
+
+    /// A count matrix over K topics and 6 words: word 0 non-zero at every
+    /// other topic, word 1 at topics 3 and 17 if they exist (at the last
+    /// topic otherwise), word 5 nowhere; words 2–4 carry the rest of each
+    /// topic's mass.
+    fn bucket_counts(k: usize) -> (DenseMatrix<u32>, Vec<i64>) {
+        let mut phi = DenseMatrix::zeros(k, 6);
         for t in (0..k).step_by(2) {
             phi.set(t, 0, 1 + (t as u32 * 7) % 13);
         }
-        phi.set(3, 1, 9);
-        phi.set(17, 1, 2);
+        if k > 17 {
+            phi.set(3, 1, 9);
+            phi.set(17, 1, 2);
+        } else {
+            phi.set(k - 1, 1, 9);
+        }
         for t in 0..k {
             phi.set(t, 2 + t % 3, 20 + t as u32);
         }
         let nk = topic_totals(&phi);
-        let model = TopicInferencer::try_new(&phi, &nk, alpha, beta).unwrap();
+        (phi, nk)
+    }
+
+    #[test]
+    fn each_draw_follows_the_exact_fold_in_conditional() {
+        const DRAWS: usize = 200_000;
+        let k = 24usize;
+        let (phi, nk) = bucket_counts(k);
+        let model = TopicInferencer::try_new(&phi, &nk, 0.1, 0.05).unwrap();
         assert_eq!(model.columns[0].len, HOT);
         assert_eq!(model.columns[1].len, 2);
-        // The document's counts without the token; four topics are empty,
-        // so the draw law depends on α.
-        let doc_counts: Vec<u32> = (0..k as u32).map(|t| (t * 5) % 7).collect();
-        let (mut scratch, mut prefix) = (vec![0.0; k], vec![0.0; k]);
-        for (word, seed) in [(0usize, 21u64), (1, 22)] {
-            let exact: Vec<f64> = (0..k)
-                .map(|t| {
-                    (doc_counts[t] as f64 + alpha) * (phi.get(t, word) as f64 + beta)
-                        / (nk[t] as f64 + v as f64 * beta)
-                })
-                .collect();
-            let norm: f64 = exact.iter().sum();
-            let probs: Vec<f64> = exact.iter().map(|p| p / norm).collect();
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let mut hist = vec![0u64; k];
-            for _ in 0..DRAWS {
-                hist[model.draw(word, &doc_counts, rng.gen(), &mut scratch, &mut prefix)] += 1;
+        assert_eq!(model.columns[5].len, 0);
+        let docs: [Vec<u32>; 3] = [
+            // Four empty topics, so the law depends on α.
+            (0..k as u32).map(|t| (t * 5) % 7).collect(),
+            // An empty doc bucket: the token is the document's only one.
+            vec![0; k],
+            // Every topic in the doc bucket (K_d = K).
+            (0..k as u32).map(|t| 1 + t % 3).collect(),
+        ];
+        for (i, counts) in docs.iter().enumerate() {
+            let mut doc = doc_state(&model, counts);
+            // A hot word, a sparse word and a word with no cells.
+            for word in [0usize, 1, 5] {
+                let exact = exact_masses(&model, word, counts);
+                let norm: f64 = exact.iter().sum();
+                let probs: Vec<f64> = exact.iter().map(|p| p / norm).collect();
+                let mut rng = ChaCha8Rng::seed_from_u64(21 + 10 * i as u64 + word as u64);
+                let mut hist = vec![0u64; k];
+                for _ in 0..DRAWS {
+                    hist[model.draw(word, &mut doc, rng.gen())] += 1;
+                }
+                let p = chi_square_p_value(&hist, &probs);
+                assert!(p > 1e-4, "doc {i}, word {word}: p = {p:e}, counts {hist:?}");
+                // A sparse word's scatter is undone after every draw.
+                assert_eq!(bits(&doc.column), bits(&model.base));
+
+                // u = 0 lands on the first topic of the first non-empty
+                // bucket; the largest u below 1 on the last smoothing topic.
+                let first = match (doc.topics.first(), word) {
+                    (Some(&t), _) => t as usize,
+                    (None, 5) => 0,
+                    (None, _) => (0..k).find(|&t| phi.get(t, word) > 0).unwrap(),
+                };
+                assert_eq!(
+                    model.draw(word, &mut doc, 0.0),
+                    first,
+                    "doc {i}, word {word}"
+                );
+                let below_one = 1.0 - f64::EPSILON / 2.0;
+                assert_eq!(model.draw(word, &mut doc, below_one), k - 1);
             }
-            let p = chi_square_p_value(&hist, &probs);
-            assert!(p > 1e-4, "word {word}: p = {p:e}, counts {hist:?}");
         }
+    }
+
+    /// The least `x` in `[lo, hi]` where `above(x)` holds, by bisection over
+    /// the bits of non-negative floats (ordered as the floats are).
+    /// `above` must be monotone on the interval and hold at `hi`.
+    fn least_where(lo: f64, hi: f64, above: impl Fn(f64) -> bool) -> f64 {
+        let (mut lo, mut hi) = (lo.to_bits(), hi.to_bits());
+        if above(f64::from_bits(lo)) {
+            return f64::from_bits(lo);
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if above(f64::from_bits(mid)) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        f64::from_bits(hi)
+    }
+
+    #[test]
+    fn the_three_buckets_split_the_exact_conditional() {
+        // K ≤ 4 makes every word with a non-zero hot; K = 24 adds a sparse
+        // word with cells.
+        for k in [1usize, 2, 3, 4, 24] {
+            let (phi, nk) = bucket_counts(k);
+            let model = TopicInferencer::try_new(&phi, &nk, 0.5, 0.5).unwrap();
+            for counts in [
+                (0..k as u32)
+                    .map(|t| [2, 0, 1, 3][t as usize % 4])
+                    .collect::<Vec<_>>(),
+                vec![0; k],
+            ] {
+                let mut doc = doc_state(&model, &counts);
+                for word in [0usize, 1, 5] {
+                    let (d, dr) = model.masses(word, &mut doc);
+                    let z = dr + model.smoothing[k - 1];
+                    let col = model.columns[word];
+                    let start = col.start as usize;
+                    let cells: Vec<usize> = if col.len == HOT {
+                        (0..k).collect()
+                    } else {
+                        model.topics[start..start + col.len as usize]
+                            .iter()
+                            .map(|&t| t as usize)
+                            .collect()
+                    };
+                    let doc_topics: Vec<usize> = doc.topics.iter().map(|&t| t as usize).collect();
+                    // Each bucket's x-range and the topics it walks, in
+                    // order; a topic's piece of the bucket is the stretch of
+                    // x that `invert` maps to it.
+                    let mut masses = vec![0.0; k];
+                    for (lo, hi, walk) in [
+                        (0.0, d, doc_topics),
+                        (d, dr, cells),
+                        (dr, z, (0..k).collect()),
+                    ] {
+                        let at = |x: f64| {
+                            let t = model.invert(word, &doc, d, dr, x);
+                            walk.iter()
+                                .position(|&w| w == t)
+                                .expect("a topic of the bucket")
+                        };
+                        let mut from = lo;
+                        for (j, &t) in walk.iter().enumerate() {
+                            let to = if j + 1 == walk.len() {
+                                hi
+                            } else {
+                                least_where(from, hi, |x| x >= hi || at(x) > j)
+                            };
+                            masses[t] += to - from;
+                            from = to;
+                        }
+                    }
+                    let exact = exact_masses(&model, word, &counts);
+                    for t in 0..k {
+                        let err = (masses[t] - exact[t]).abs() / exact[t];
+                        assert!(err < 1e-12, "K = {k}, word {word}, topic {t}: {err:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replies_agree_with_the_k_wide_chain_in_distribution() {
+        // 256 documents on a K = 512 model, against the dense walk of the
+        // K-wide prefix chain the buckets replaced.  The chains consume the
+        // same uniforms differently, so replies agree in law, not in bits:
+        // the mean mixtures must be within total variation 0.025.  Two
+        // seeds of the K-wide chain itself differ by 0.013 here, and the
+        // buckets differ from it by as much.
+        let (k, v, docs) = (512usize, 300usize, 256usize);
+        // Each word peaks on a home topic and its neighbour and has a few
+        // stray cells; every tenth word is also spread over 100 topics
+        // (a hot word).
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut phi = DenseMatrix::zeros(k, v);
+        for w in 0..v {
+            let home = (w * 7) % k;
+            phi.set(home, w, 200);
+            phi.set((home + 1) % k, w, 50);
+            let strays = if w % 10 == 0 {
+                100
+            } else {
+                rng.gen_range(0..4)
+            };
+            for _ in 0..strays {
+                let t = rng.gen_range(0..k);
+                phi.set(t, w, phi.get(t, w) + rng.gen_range(1..4));
+            }
+        }
+        let nk = topic_totals(&phi);
+        let model = TopicInferencer::try_new(&phi, &nk, 0.1, 0.01).unwrap();
+        let reference = DenseReference::try_new(&phi, &nk, 0.1, 0.01).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut b = CorpusBuilder::new(v);
+        for _ in 0..docs {
+            // A few themes per document, as in a query.
+            let themes: Vec<usize> = (0..3).map(|_| rng.gen_range(0..v)).collect();
+            let len = rng.gen_range(16..33);
+            let doc: Vec<WordId> = (0..len)
+                .map(|_| ((themes[rng.gen_range(0..3)] + rng.gen_range(0..5)) % v) as WordId)
+                .collect();
+            b.push_doc(&doc);
+        }
+        let corpus = b.build();
+        let opts = InferenceOptions {
+            sweeps: 40,
+            burn_in: 5,
+            seed: 12,
+        };
+        let mean = |replies: Vec<DocumentTopics>| -> Vec<f64> {
+            let mut m = vec![0.0; k];
+            for reply in &replies {
+                for (a, &p) in m.iter_mut().zip(&reply.mixture) {
+                    *a += p / docs as f64;
+                }
+            }
+            m
+        };
+        let tv =
+            |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / 2.0;
+        let chain = mean(
+            (0..docs)
+                .map(|d| reference.infer(corpus.doc(d), opts, &mut doc_rng(opts.seed, d)))
+                .collect(),
+        );
+        let buckets = mean(model.try_infer_corpus(&corpus, opts).unwrap());
+        let got = tv(&buckets, &chain);
+        assert!(got < 0.025, "total variation {got}");
     }
 }

@@ -88,13 +88,13 @@ impl AliasHybridSampler {
         let snap = set.snapshot();
         for w in chunk_words(&state.layout) {
             let v = w as usize;
-            set.get_or_build(v, || {
-                StaleAliasProposal::from_weights(
+            set.get_or_build(v, |spare| {
+                rebuilt(
+                    spare,
                     snap.dense_column(v)
                         .iter()
                         .zip(&snap.nk_hat)
-                        .map(|(&phi_kv, &nk)| (phi_kv as f64 + beta) / (nk as f64 + v_beta))
-                        .collect(),
+                        .map(|(&phi_kv, &nk)| (phi_kv as f64 + beta) / (nk as f64 + v_beta)),
                 )
             });
         }
@@ -311,6 +311,21 @@ impl SamplerKernel for AliasHybridSampler {
     }
 }
 
+/// A word's stale proposal over `weights`, rebuilt in the buffers of
+/// `spare` (the word's proposal of an earlier rebuild) when there is one.
+fn rebuilt(
+    spare: Option<StaleAliasProposal>,
+    weights: impl Iterator<Item = f64>,
+) -> StaleAliasProposal {
+    match spare {
+        Some(mut proposal) => {
+            proposal.rebuild(weights);
+            proposal
+        }
+        None => StaleAliasProposal::from_weights(weights.collect()),
+    }
+}
+
 /// The alias-build kernel: one thread block builds the stale proposal of one
 /// word from the synchronized φ (read once per rebuild instead of once per
 /// iteration — the amortisation the hybrid exists for).  Every chunk's
@@ -340,8 +355,9 @@ impl BlockKernel for AliasBuildBlock<'_> {
         // the MH ratio needs is reconstructed from φ̂ and the device's n̂_k
         // snapshot (K × 8 bytes per rebuild, amortised over every word) at
         // two flops per evaluation.
-        self.tables.get_or_build(v, || {
-            StaleAliasProposal::from_weights(
+        self.tables.get_or_build(v, |spare| {
+            rebuilt(
+                spare,
                 self.state
                     .phi_global
                     .column(v)
@@ -350,8 +366,7 @@ impl BlockKernel for AliasBuildBlock<'_> {
                     .map(|(kk, phi_kv)| {
                         (phi_kv.load(Ordering::Relaxed) as f64 + beta)
                             / (self.state.nk_global.get(kk) as f64 + v_beta)
-                    })
-                    .collect(),
+                    }),
             )
         });
         ctx.read_global(k as u64 * int_bytes); // φ[·, v]

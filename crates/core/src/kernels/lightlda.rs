@@ -93,17 +93,38 @@ impl WordProposal {
     /// the checkpoint-resume reconstruction so both produce bit-identical
     /// tables.
     pub fn build(counts: &[u32], beta: f64, prune_below: usize) -> WordProposal {
+        Self::rebuilt(None, counts, beta, prune_below)
+    }
+
+    /// [`WordProposal::build`] in the buffers of `spare`, a proposal of an
+    /// earlier rebuild, when it has the same form: the same proposal, with
+    /// no allocation unless the form changed or the pruned form grew.
+    pub(crate) fn rebuilt(
+        spare: Option<WordProposal>,
+        counts: &[u32],
+        beta: f64,
+        prune_below: usize,
+    ) -> WordProposal {
         let k = counts.len();
         let total: u64 = counts.iter().map(|&c| c as u64).sum();
         if prune_below > 0 && (total as usize) < prune_below && total > 0 {
-            let topics: Vec<u16> = (0..k)
-                .filter(|&kk| counts[kk] > 0)
-                .map(|kk| kk as u16)
-                .collect();
-            let nz: Vec<u32> = topics.iter().map(|&kk| counts[kk as usize]).collect();
+            let (mut topics, mut nz, mut table) = match spare {
+                Some(WordProposal::Pruned {
+                    topics,
+                    counts,
+                    table,
+                    ..
+                }) => (topics, counts, table),
+                _ => (Vec::new(), Vec::new(), AliasTable::new(&[1.0])),
+            };
+            topics.clear();
+            topics.extend((0..k).filter(|&kk| counts[kk] > 0).map(|kk| kk as u16));
+            nz.clear();
+            nz.extend(topics.iter().map(|&kk| counts[kk as usize]));
             let weights: Vec<f32> = nz.iter().map(|&c| c as f32).collect();
+            table.rebuild(&weights);
             WordProposal::Pruned {
-                table: AliasTable::new(&weights),
+                table,
                 topics,
                 counts: nz,
                 sparse_mass: total as f64,
@@ -111,9 +132,14 @@ impl WordProposal {
                 num_topics: k,
             }
         } else {
-            WordProposal::Dense(StaleAliasProposal::from_weights(
-                counts.iter().map(|&c| c as f64 + beta).collect(),
-            ))
+            let weights = counts.iter().map(|&c| c as f64 + beta);
+            match spare {
+                Some(WordProposal::Dense(mut p)) => {
+                    p.rebuild(weights);
+                    WordProposal::Dense(p)
+                }
+                _ => WordProposal::Dense(StaleAliasProposal::from_weights(weights.collect())),
+            }
         }
     }
 
@@ -221,8 +247,8 @@ impl LightLdaSampler {
         let snap = set.snapshot();
         for w in chunk_words(&state.layout) {
             let v = w as usize;
-            set.get_or_build(v, || {
-                WordProposal::build(&snap.dense_column(v), config.beta, self.prune_below)
+            set.get_or_build(v, |spare| {
+                WordProposal::rebuilt(spare, &snap.dense_column(v), config.beta, self.prune_below)
             });
         }
     }
@@ -446,7 +472,7 @@ impl BlockKernel for LightBuildBlock<'_> {
 
         // The column scan is unavoidable (the counts live there); what the
         // pruned form saves is the table construction and its footprint.
-        let proposal = self.tables.get_or_build(v, || {
+        let proposal = self.tables.get_or_build(v, |spare| {
             let counts: Vec<u32> = self
                 .state
                 .phi_global
@@ -454,7 +480,7 @@ impl BlockKernel for LightBuildBlock<'_> {
                 .iter()
                 .map(|phi_kv| phi_kv.load(Ordering::Relaxed))
                 .collect();
-            WordProposal::build(&counts, self.config.beta, self.prune_below)
+            WordProposal::rebuilt(spare, &counts, self.config.beta, self.prune_below)
         });
         ctx.read_global(k as u64 * int_bytes); // φ̂[·, v]
         ctx.flops(k as u64); // accumulate the column total

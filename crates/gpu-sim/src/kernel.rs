@@ -17,6 +17,15 @@ use crate::memory::SharedMemory;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+/// Most groups a launch's blocks run in.  The blocks of a group run one
+/// after another on one thread and add up their counters, so the reduction
+/// keeps a few KiB of partial sums instead of one per block: a launch of
+/// thousands of blocks would otherwise allocate and free a partials buffer
+/// of some 200 KiB on whichever pool thread launches it, which strands
+/// memory in that thread's malloc arena.  The counters are integers, so the
+/// grouping cannot change their sum.
+const LAUNCH_GROUPS: usize = 256;
+
 /// Launch geometry of a kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaunchConfig {
@@ -179,8 +188,8 @@ impl Device {
     /// `name`.  The result is independent of which thread runs which block:
     /// kernels draw randomness only through [`BlockCtx::stable_f32`] (or the
     /// counter-based generator it wraps), a pure function of the logical
-    /// unit of work rather than of any shared RNG stream, and the counter
-    /// reduction goes through the shim's fixed partial tree, so neither
+    /// unit of work rather than of any shared RNG stream, and the counters
+    /// are integers, summed over contiguous block groups, so neither
     /// randomness nor summation order can vary with scheduling.
     pub fn launch<K: BlockKernel + ?Sized>(
         &self,
@@ -188,12 +197,19 @@ impl Device {
         config: LaunchConfig,
         kernel: &K,
     ) -> KernelStats {
-        let counters: CostCounters = (0..config.grid_blocks)
+        let grid = config.grid_blocks;
+        let per_group = grid.div_ceil(LAUNCH_GROUPS).max(1);
+        let counters: CostCounters = (0..grid.div_ceil(per_group))
             .into_par_iter()
-            .map(|b| {
-                let mut ctx = BlockCtx::new(b, self.spec.shared_mem_per_block, self.spec.warp_size);
-                kernel.run_block(b, &mut ctx);
-                ctx.counters
+            .map(|g| {
+                let mut counters = CostCounters::zero();
+                for b in g * per_group..((g + 1) * per_group).min(grid) {
+                    let mut ctx =
+                        BlockCtx::new(b, self.spec.shared_mem_per_block, self.spec.warp_size);
+                    kernel.run_block(b, &mut ctx);
+                    counters += ctx.counters;
+                }
+                counters
             })
             .sum();
         let time = self.time_for(&counters, config.grid_blocks);

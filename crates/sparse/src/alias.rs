@@ -40,19 +40,39 @@ impl AliasTable {
     /// # Panics
     /// Panics if `weights` is empty.
     pub fn new(weights: &[f32]) -> Self {
+        let mut table = AliasTable {
+            prob: Vec::new(),
+            alias: Vec::new(),
+            total: 0.0,
+        };
+        table.rebuild(weights);
+        table
+    }
+
+    /// Rebuild the table in place over new weights, of any length: the
+    /// table [`AliasTable::new`] builds, in the buffers this one already
+    /// holds, so a caller that rebuilds per word allocates only when the
+    /// table grows.
+    ///
+    /// # Panics
+    /// Panics if `weights` is empty.
+    pub fn rebuild(&mut self, weights: &[f32]) {
         assert!(
             !weights.is_empty(),
             "cannot build an alias table over no weights"
         );
         let n = weights.len();
         let total: f64 = weights.iter().map(|&w| w as f64).sum();
+        self.total = total;
+        self.prob.clear();
+        self.prob.resize(n, 1.0);
+        self.alias.clear();
+        self.alias.extend(0..n as u32);
         if total <= 0.0 {
-            return AliasTable {
-                prob: vec![1.0; n],
-                alias: (0..n as u32).collect(),
-                total: 0.0,
-            };
+            self.total = 0.0;
+            return;
         }
+        let (prob, alias) = (&mut self.prob, &mut self.alias);
         // Scale weights so the average bucket has weight 1.
         let scale = n as f64 / total;
         let mut scaled: Vec<f64> = weights.iter().map(|&w| w as f64 * scale).collect();
@@ -66,9 +86,6 @@ impl AliasTable {
                 large.push(i as u32);
             }
         }
-
-        let mut prob = vec![1.0f32; n];
-        let mut alias: Vec<u32> = (0..n as u32).collect();
 
         while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
             prob[s as usize] = scaled[s as usize] as f32;
@@ -85,8 +102,6 @@ impl AliasTable {
             prob[i as usize] = 1.0;
             alias[i as usize] = i;
         }
-
-        AliasTable { prob, alias, total }
     }
 
     /// Number of buckets.
@@ -164,13 +179,32 @@ impl StaleAliasProposal {
     /// # Panics
     /// Panics if `weights` is empty (see [`AliasTable::new`]).
     pub fn from_weights(weights: Vec<f64>) -> Self {
-        let mass: f64 = weights.iter().sum();
-        let as_f32: Vec<f32> = weights.iter().map(|&x| x as f32).collect();
-        StaleAliasProposal {
-            table: AliasTable::new(&as_f32),
+        let mut proposal = StaleAliasProposal {
+            table: AliasTable::new(&[0.0]),
             weights,
-            mass,
-        }
+            mass: 0.0,
+        };
+        proposal.refresh();
+        proposal
+    }
+
+    /// Rebuild the proposal in place over new weights: the proposal
+    /// [`StaleAliasProposal::from_weights`] builds, in the buffers this one
+    /// already holds.
+    ///
+    /// # Panics
+    /// Panics if `weights` is empty.
+    pub fn rebuild(&mut self, weights: impl IntoIterator<Item = f64>) {
+        self.weights.clear();
+        self.weights.extend(weights);
+        self.refresh();
+    }
+
+    /// The mass and the table of the current weights.
+    fn refresh(&mut self) {
+        self.mass = self.weights.iter().sum();
+        let as_f32: Vec<f32> = self.weights.iter().map(|&x| x as f32).collect();
+        self.table.rebuild(&as_f32);
     }
 
     /// The alias table over the stale weights.
