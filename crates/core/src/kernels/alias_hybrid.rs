@@ -468,7 +468,7 @@ impl BlockKernel for AliasSampleBlock<'_> {
 
             // Per-token MH chain, every draw keyed by token identity.
             let global_doc = (state.layout.range.start + d) as u64;
-            let slot = state.token_slot[pos] as u64;
+            let slot = state.layout.token_slot[pos] as u64;
             let tseed = stable_u64(cfg.seed, self.iteration, (global_doc << 32) | slot);
 
             let mut k_cur = c;

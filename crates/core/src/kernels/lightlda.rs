@@ -600,7 +600,7 @@ impl LightSampleBlock<'_> {
             // the alias hybrid.
             let (cols, vals) = theta.row(d);
             let global_doc = (state.layout.range.start + d) as u64;
-            let slot = state.token_slot[pos] as u64;
+            let slot = state.layout.token_slot[pos] as u64;
             let token = TokenChain {
                 tseed: stable_u64(cfg.seed, self.iteration, (global_doc << 32) | slot),
                 c,

@@ -338,7 +338,7 @@ impl SparseCgsBlock<'_> {
             // identity): the same token gets the same randomness no matter
             // which block, device or topology samples it.
             let global_doc = (state.layout.range.start + d) as u64;
-            let slot = state.token_slot[pos] as u64;
+            let slot = state.layout.token_slot[pos] as u64;
             let u =
                 ctx.stable_f32(cfg.seed, self.iteration, (global_doc << 32) | slot) * (s + q_adj);
             ctx.flops(2);
@@ -746,7 +746,7 @@ mod tests {
                 // identity): the same token gets the same randomness no matter
                 // which block, device or topology samples it.
                 let global_doc = (state.layout.range.start + d) as u64;
-                let slot = state.token_slot[pos] as u64;
+                let slot = state.layout.token_slot[pos] as u64;
                 let u = ctx.stable_f32(cfg.seed, block.iteration, (global_doc << 32) | slot)
                     * (s + q_adj);
                 ctx.flops(2);

@@ -17,6 +17,8 @@ use crate::config::LdaConfig;
 use culda_corpus::ChunkLayout;
 use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix};
 use parking_lot::RwLock;
+use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU16, Ordering};
 use std::sync::Arc;
 
@@ -96,10 +98,6 @@ pub struct ChunkState {
     pub phi_global: Arc<AtomicMatrix>,
     /// The synchronized global topic totals, shared like `phi_global`.
     pub nk_global: Arc<TopicTotals>,
-    /// For every word-major position, the token's index within its document
-    /// (see [`ChunkLayout::token_slots`]); combined with the global document
-    /// id this keys the counter-based sampling RNG.
-    pub token_slot: Vec<u32>,
 }
 
 impl ChunkState {
@@ -132,11 +130,9 @@ impl ChunkState {
         z.resize_with(tokens, || AtomicU16::new(0));
         let mut z_next = Vec::with_capacity(tokens);
         z_next.resize_with(tokens, || AtomicU16::new(0));
-        let token_slot = layout.token_slots();
         ChunkState {
             chunk_id,
             layout,
-            token_slot,
             z,
             z_next,
             theta: RwLock::new(CsrMatrix::zeros(docs, num_topics)),
@@ -171,9 +167,13 @@ impl ChunkState {
         let k = self.num_topics() as u64;
         debug_assert_eq!(k as usize, config.num_topics);
         let first_doc = self.layout.range.start as u64;
-        self.init_word_major(|pos| {
+        // `move`: the closure holds copies of `k`, `first_doc` and `seed`,
+        // which keeps them (and the seed's share of the hash) out of the
+        // per-token loop; captured by reference, that loop ran about 40 %
+        // slower.
+        self.init_word_major(move |pos| {
             let global_doc = first_doc + self.layout.token_doc[pos] as u64;
-            let slot = self.token_slot[pos] as u64;
+            let slot = self.layout.token_slot[pos] as u64;
             let draw =
                 culda_gpusim::rng::stable_u64(seed, Self::INIT_STREAM, (global_doc << 32) | slot);
             (draw % k) as u16
@@ -192,11 +192,11 @@ impl ChunkState {
     /// Callers must have validated that the snapshot covers this chunk's
     /// documents with the right lengths and in-range topics.  Adds into
     /// φ / n_k like [`ChunkState::random_init_stable`].
-    pub fn init_from_assignments<R: AsRef<[u16]>>(&self, z: &[R]) {
+    pub fn init_from_assignments<R: AsRef<[u16]> + Sync>(&self, z: &[R]) {
         let first_doc = self.layout.range.start;
-        self.init_word_major(|pos| {
+        self.init_word_major(move |pos| {
             let doc = z[first_doc + self.layout.token_doc[pos] as usize].as_ref();
-            doc[self.token_slot[pos] as usize]
+            doc[self.layout.token_slot[pos] as usize]
         });
     }
 
@@ -206,14 +206,46 @@ impl ChunkState {
     /// The walk is word-major, so each word's counts gather in one K-wide
     /// local column.  Rescanning the word's tokens flushes that column with
     /// one φ add per distinct topic and leaves it zeroed, so a word costs
-    /// O(its tokens), not O(K).  The chunk's n_k is summed locally and added
-    /// once.  A token's topic depends only on its identity, never on the
-    /// walk order, so the result is the same as for a document-major walk.
-    fn init_word_major(&self, topic_of: impl Fn(usize) -> u16) {
+    /// O(its tokens), not O(K).  A token's topic depends only on its
+    /// identity, never on the walk order, so the result is the same as for
+    /// a document-major walk.
+    ///
+    /// The words are split into contiguous ranges on the pool
+    /// ([`ChunkLayout::word_parts`]).  The ranges write disjoint `z`
+    /// positions and φ columns; each sums its own n_k partial, and the
+    /// partials are added as integers, so the counts do not depend on the
+    /// split.
+    fn init_word_major(&self, topic_of: impl Fn(usize) -> u16 + Sync) {
         let k = self.num_topics();
-        let mut column = vec![0u32; k];
-        let mut nk = vec![0i64; k];
-        for v in 0..self.layout.vocab_size {
+        let parts = self.layout.word_parts();
+        let mut columns = vec![0u32; parts.len() * k];
+        let mut partials = vec![0i64; parts.len() * k];
+        columns
+            .par_chunks_mut(k)
+            .zip(partials.par_chunks_mut(k))
+            .zip(parts.par_iter())
+            .for_each(|((column, nk), words)| {
+                self.init_words(words.clone(), &topic_of, column, nk)
+            });
+        for topic in 0..k {
+            let count: i64 = partials.iter().skip(topic).step_by(k).sum();
+            if count != 0 {
+                self.nk_global.add(topic, count);
+            }
+        }
+        self.rebuild_theta();
+    }
+
+    /// The walk of [`ChunkState::init_word_major`] over `words`, with a
+    /// K-wide `column` (left zeroed) and the range's n_k partial `nk`.
+    fn init_words(
+        &self,
+        words: Range<usize>,
+        topic_of: &impl Fn(usize) -> u16,
+        column: &mut [u32],
+        nk: &mut [i64],
+    ) {
+        for v in words {
             let (start, end) = self.layout.word_token_range(v);
             for pos in start..end {
                 let topic = topic_of(pos);
@@ -231,23 +263,59 @@ impl ChunkState {
                 }
             }
         }
-        for (topic, &count) in nk.iter().enumerate() {
-            if count != 0 {
-                self.nk_global.add(topic, count);
-            }
-        }
-        self.rebuild_theta();
     }
 
     /// Rebuild the θ replica from the current topic assignments (the
     /// functional core of the update-θ kernel; the kernel additionally
-    /// accounts the cost of doing this on the device).
+    /// accounts the cost of doing this on the device).  The rows are
+    /// counted by document range on the pool ([`ChunkLayout::doc_parts`]).
+    ///
+    /// Every part's builder is allocated here, on the calling thread.  The
+    /// first is sized for the whole chunk and receives the other parts'
+    /// rows in order, so the matrix is the first builder's storage.
     pub fn rebuild_theta(&self) {
         let k = self.num_topics();
-        let docs = self.layout.num_docs();
-        let mut builder = CsrBuilder::new(docs, k);
-        builder.reserve_nnz(self.layout.num_tokens().min(docs * k));
-        for d in 0..docs {
+        let parts = self.layout.doc_parts();
+        let mut builders: Vec<CsrBuilder> = parts
+            .iter()
+            .enumerate()
+            .map(|(i, docs)| {
+                let rows = if i == 0 {
+                    0..self.layout.num_docs()
+                } else {
+                    docs.clone()
+                };
+                let mut builder = CsrBuilder::new(rows.len(), k);
+                builder.reserve_nnz(self.theta_nnz_bound(rows));
+                builder
+            })
+            .collect();
+        builders
+            .par_iter_mut()
+            .zip(parts.par_iter())
+            .for_each(|(builder, docs)| self.push_theta_rows(builder, docs.clone()));
+        let mut builders = builders.into_iter();
+        let mut theta = builders.next().expect("a chunk has at least one part");
+        for part in builders.map(CsrBuilder::finish) {
+            for d in 0..part.rows() {
+                let (cols, values) = part.row(d);
+                theta.push_sorted_row(cols, values);
+            }
+        }
+        *self.theta.write() = theta.finish();
+    }
+
+    /// An upper bound on the θ entries of local documents `docs`: a row
+    /// holds at most its document's tokens and at most K entries.
+    fn theta_nnz_bound(&self, docs: Range<usize>) -> usize {
+        let tokens = (self.layout.doc_ptr[docs.end] - self.layout.doc_ptr[docs.start]) as usize;
+        tokens.min(docs.len() * self.num_topics())
+    }
+
+    /// Append the θ rows of local documents `docs` to `builder`, each
+    /// counted from its tokens' current topics.
+    fn push_theta_rows(&self, builder: &mut CsrBuilder, docs: Range<usize>) {
+        for d in docs {
             builder.push_counted_row(
                 self.layout
                     .doc_positions(d)
@@ -255,7 +323,6 @@ impl ChunkState {
                     .map(|&pos| self.z[pos as usize].load(Ordering::Relaxed)),
             );
         }
-        *self.theta.write() = builder.finish();
     }
 
     /// Estimated device-memory footprint in bytes: chunk layout + z + θ +

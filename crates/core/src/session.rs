@@ -1662,4 +1662,33 @@ mod tests {
         session.run_iteration().unwrap();
         session.validate().unwrap();
     }
+
+    #[test]
+    fn rebuild_after_retire_is_bit_identical_at_any_thread_count() {
+        use crate::trainer::tests::with_threads;
+        // About 80k live tokens after the retire, so the rebuild's passes
+        // split at 2 and 8 threads.
+        let corpus = DatasetProfile::pubmed()
+            .scaled_to_tokens(110_000)
+            .generate(17);
+        let docs: Vec<Document> = (0..corpus.num_docs())
+            .map(|d| Document::from(corpus.doc(d)))
+            .collect();
+        let rebuilt = |threads| {
+            with_threads(threads, || {
+                let mut session = builder(6).burn_in_sweeps(1).build_streaming().unwrap();
+                let uids = session.ingest(&docs);
+                session.train(1).unwrap();
+                session.retire(&uids[..uids.len() / 4]).unwrap();
+                session.ensure_trainer().unwrap().built_state()
+            })
+        };
+        let expected = rebuilt(1);
+        for threads in [2, 8] {
+            assert!(
+                rebuilt(threads) == expected,
+                "rebuild differs at {threads} threads"
+            );
+        }
+    }
 }

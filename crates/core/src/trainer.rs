@@ -24,9 +24,10 @@ use crate::model::{check_recount, ChunkState, TopicTotals};
 use crate::schedule::{run_iteration, IterationStats, ScheduleKind};
 use crate::sync::{HierarchicalSyncPlan, SyncPlan};
 use crate::work::{build_work_items, WorkItem};
-use culda_corpus::{Corpus, Partitioner};
+use culda_corpus::{ChunkLayout, Corpus, Partitioner};
 use culda_gpusim::MultiGpuSystem;
 use culda_sparse::{AtomicMatrix, CsrBuilder, CsrMatrix, DenseMatrix};
+use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Errors produced while constructing a trainer.
@@ -102,7 +103,7 @@ impl CuLdaTrainer {
     /// streams from, and `sampler_state` optionally replays checkpointed
     /// sampler-internal state (e.g. the alias hybrid's stale tables) into
     /// the freshly built sampler so a mid-cadence resume is bit-exact.
-    pub(crate) fn from_parts<R: AsRef<[u16]>>(
+    pub(crate) fn from_parts<R: AsRef<[u16]> + Sync>(
         corpus: &Corpus,
         config: LdaConfig,
         system: MultiGpuSystem,
@@ -151,7 +152,7 @@ impl CuLdaTrainer {
         Ok(())
     }
 
-    fn build<R: AsRef<[u16]>>(
+    fn build<R: AsRef<[u16]> + Sync>(
         corpus: &Corpus,
         mut config: LdaConfig,
         system: MultiGpuSystem,
@@ -183,29 +184,34 @@ impl CuLdaTrainer {
 
         // Partition by document, balanced by token count (§4).
         let partitioner = Partitioner::by_tokens(corpus, num_chunks);
-        let layouts = partitioner.build_layouts(corpus);
 
-        // Build chunk states and randomly initialise the assignments.  The
-        // initial topics come from the counter-based generator keyed by each
-        // token's (document, slot) identity, so the initialisation — like the
+        // Build every chunk's layout, state and work list, the chunks
+        // concurrently on the pool (a lone chunk splits its own passes
+        // instead), and initialise the assignments.  The initial topics come
+        // from the counter-based generator keyed by each token's
+        // (document, slot) identity, so the initialisation — like the
         // sampling draws — is identical for every chunking of the corpus.
         // Every chunk adds its tokens into, and later samples from, the one
-        // synchronized φ / n_k pair allocated here.
+        // synchronized φ / n_k pair allocated here; those adds are integer
+        // atomics, so the order the chunks run in cannot change them.
         let phi_global = Arc::new(AtomicMatrix::zeros(config.num_topics, corpus.vocab_size()));
         let nk_global = Arc::new(TopicTotals::zeros(config.num_topics));
-        let states: Vec<Arc<ChunkState>> = layouts
-            .into_iter()
-            .enumerate()
-            .map(|(i, layout)| {
+        let (states, work_items): (Vec<Arc<ChunkState>>, Vec<Vec<WorkItem>>) = (0..num_chunks)
+            .into_par_iter()
+            .map(|i| {
+                let layout = ChunkLayout::build(corpus, partitioner.ranges()[i]);
                 let state =
                     ChunkState::with_globals(i, layout, phi_global.clone(), nk_global.clone());
                 match init {
                     None => state.random_init_stable(&config, config.seed),
                     Some(z) => state.init_from_assignments(z),
                 }
-                Arc::new(state)
+                let items = build_work_items(&state.layout, config.max_tokens_per_block);
+                (Arc::new(state), items)
             })
-            .collect();
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
 
         // Register the resident working set with the device memory trackers.
         for (i, state) in states.iter().enumerate() {
@@ -221,11 +227,6 @@ impl CuLdaTrainer {
                 })?;
             }
         }
-
-        let work_items: Vec<Vec<WorkItem>> = states
-            .iter()
-            .map(|s| build_work_items(&s.layout, config.max_tokens_per_block))
-            .collect();
 
         let sync_plan = HierarchicalSyncPlan::from_config(&config, corpus.vocab_size());
         let tune_groups = system.num_nodes() > 1
@@ -624,11 +625,142 @@ impl CuLdaTrainer {
     }
 }
 
+/// Everything a trainer holds right after construction, in comparable
+/// form: per chunk the layout (token slots included), `z`, `z_next`, θ and
+/// the work list, plus the shared φ and n_k.
 #[cfg(test)]
-mod tests {
+#[derive(Debug, PartialEq)]
+pub(crate) struct BuiltState {
+    layouts: Vec<ChunkLayout>,
+    z: Vec<Vec<u16>>,
+    z_next: Vec<Vec<u16>>,
+    theta: Vec<CsrMatrix>,
+    work_items: Vec<Vec<WorkItem>>,
+    phi: DenseMatrix<u32>,
+    nk: Vec<i64>,
+}
+
+#[cfg(test)]
+impl CuLdaTrainer {
+    pub(crate) fn built_state(&self) -> BuiltState {
+        use std::sync::atomic::Ordering;
+        let plain = |z: &[std::sync::atomic::AtomicU16]| -> Vec<u16> {
+            z.iter().map(|t| t.load(Ordering::Relaxed)).collect()
+        };
+        BuiltState {
+            layouts: self.states.iter().map(|s| s.layout.clone()).collect(),
+            z: self.states.iter().map(|s| plain(&s.z)).collect(),
+            z_next: self.states.iter().map(|s| plain(&s.z_next)).collect(),
+            theta: self.states.iter().map(|s| s.theta.read().clone()).collect(),
+            work_items: self.work_items.clone(),
+            phi: self.global_phi(),
+            nk: self.global_nk(),
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use culda_corpus::DatasetProfile;
-    use culda_gpusim::{DeviceSpec, Interconnect};
+    use culda_gpusim::{ClusterSystem, DeviceSpec, Interconnect};
+
+    /// Run `op` with every parallel region pinned to `threads` OS threads.
+    pub(crate) fn with_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(op)
+    }
+
+    type Case = (Corpus, LdaConfig, fn() -> MultiGpuSystem);
+
+    /// The construction cases: a one-chunk NYTimes-shaped corpus large
+    /// enough that every pass splits at 2 and 8 threads, and a tail-heavy
+    /// corpus on a 2 × 2 cluster whose `Auto` sampler resolves to pruned
+    /// light MH, built as four concurrent chunks.
+    fn construction_cases() -> Vec<Case> {
+        let nyt = DatasetProfile::nytimes()
+            .scaled_to_tokens(300_000)
+            .generate(31);
+        let tail = DatasetProfile {
+            name: "tail".into(),
+            num_docs: 800,
+            vocab_size: 6_000,
+            avg_doc_len: 20.0,
+            zipf_exponent: 1.05,
+            doc_len_sigma: 0.4,
+        }
+        .generate(32);
+        vec![
+            (nyt, LdaConfig::with_topics(64).seed(3), || {
+                MultiGpuSystem::single(DeviceSpec::v100_volta(), 3)
+            }),
+            (
+                tail,
+                LdaConfig::with_topics(512)
+                    .seed(4)
+                    .sampler(crate::SamplerStrategy::Auto),
+                || {
+                    ClusterSystem::homogeneous(
+                        DeviceSpec::titan_xp_pascal(),
+                        2,
+                        2,
+                        4,
+                        Interconnect::Pcie3,
+                        Interconnect::Ethernet10G,
+                    )
+                    .into_system()
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn construction_is_bit_identical_at_any_thread_count() {
+        for (corpus, config, system) in construction_cases() {
+            let fresh = || build(&corpus, config.clone(), system()).unwrap();
+            let reference = with_threads(1, fresh);
+            reference.validate().unwrap();
+            let chunks = reference.num_chunks();
+            if chunks > 1 {
+                assert_eq!(chunks, 4);
+                assert!(
+                    matches!(
+                        reference.config().sampler,
+                        crate::SamplerStrategy::LightLda { prune_below, .. } if prune_below > 0
+                    ),
+                    "Auto resolved to {}",
+                    reference.config().sampler
+                );
+            }
+            let expected = reference.built_state();
+
+            // A resume from assignments that are not the random init.
+            let mut trained = with_threads(1, fresh);
+            trained.train(1);
+            let z = trained.z_snapshot();
+            let resume = || {
+                CuLdaTrainer::from_parts(&corpus, config.clone(), system(), Some((&z, 1)), None)
+                    .unwrap()
+            };
+            let resumed = with_threads(1, resume).built_state();
+
+            for threads in [2, 8] {
+                let got = with_threads(threads, fresh).built_state();
+                assert!(
+                    got == expected,
+                    "random init differs at {threads} threads ({chunks} chunks)"
+                );
+                let got = with_threads(threads, resume).built_state();
+                assert!(
+                    got == resumed,
+                    "resume differs at {threads} threads ({chunks} chunks)"
+                );
+            }
+        }
+    }
 
     /// The construction path `SessionBuilder::build` calls.
     fn build(

@@ -9,6 +9,7 @@
 
 use culda_corpus::ChunkLayout;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// The token range of one word assigned to one thread block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,34 +38,31 @@ impl WorkItem {
 ///
 /// Every word present in the chunk contributes `ceil(tokens / max_per_block)`
 /// items.  Items are ordered by descending token count of their word, so
-/// multi-block (heavy) words occupy the lowest block IDs (§6.1.2).
+/// multi-block (heavy) words occupy the lowest block IDs (§6.1.2); ties go
+/// by word id, and a word's items by start.  The words are sorted on the
+/// key `(Reverse(count), word)`, unique per word, and each word's items are
+/// emitted in start order, so the list is sorted by
+/// `(Reverse(count), word, start)` without sorting the items.
 pub fn build_work_items(layout: &ChunkLayout, max_per_block: usize) -> Vec<WorkItem> {
     assert!(max_per_block > 0);
-    let mut items = Vec::new();
-    for v in 0..layout.vocab_size {
-        let (start, end) = layout.word_token_range(v);
-        if start == end {
-            continue;
-        }
-        let mut lo = start;
-        while lo < end {
-            let hi = (lo + max_per_block).min(end);
-            items.push(WorkItem {
-                word: v as u32,
-                start: lo as u32,
-                end: hi as u32,
-            });
-            lo = hi;
-        }
+    let mut words: Vec<(Reverse<usize>, u32)> = (0..layout.vocab_size)
+        .map(|v| (Reverse(layout.word_token_count(v)), v as u32))
+        .filter(|&(Reverse(count), _)| count > 0)
+        .collect();
+    words.sort_unstable();
+    let blocks = words
+        .iter()
+        .map(|&(Reverse(count), _)| count.div_ceil(max_per_block))
+        .sum();
+    let mut items = Vec::with_capacity(blocks);
+    for (_, word) in words {
+        let (start, end) = layout.word_token_range(word as usize);
+        items.extend((start..end).step_by(max_per_block).map(|lo| WorkItem {
+            word,
+            start: lo as u32,
+            end: (lo + max_per_block).min(end) as u32,
+        }));
     }
-    // Heavy words first (stable by word id for determinism).
-    items.sort_by(|a, b| {
-        let wa = layout.word_token_count(a.word as usize);
-        let wb = layout.word_token_count(b.word as usize);
-        wb.cmp(&wa)
-            .then(a.word.cmp(&b.word))
-            .then(a.start.cmp(&b.start))
-    });
     items
 }
 
@@ -79,36 +77,6 @@ pub fn chunk_words(layout: &ChunkLayout) -> Vec<u32> {
         })
         .map(|v| v as u32)
         .collect()
-}
-
-/// Summary statistics of a work list (used by scheduling diagnostics and the
-/// load-balance ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WorkStats {
-    /// Number of thread blocks.
-    pub num_blocks: usize,
-    /// Total tokens covered.
-    pub total_tokens: usize,
-    /// Largest block (tokens).
-    pub max_block_tokens: usize,
-    /// Mean tokens per block.
-    pub mean_block_tokens: f64,
-}
-
-/// Compute summary statistics of a work list.
-pub fn work_stats(items: &[WorkItem]) -> WorkStats {
-    let total: usize = items.iter().map(WorkItem::len).sum();
-    let max = items.iter().map(WorkItem::len).max().unwrap_or(0);
-    WorkStats {
-        num_blocks: items.len(),
-        total_tokens: total,
-        max_block_tokens: max,
-        mean_block_tokens: if items.is_empty() {
-            0.0
-        } else {
-            total as f64 / items.len() as f64
-        },
-    }
 }
 
 #[cfg(test)]
@@ -168,12 +136,41 @@ mod tests {
         for &cap in &[64usize, 512, 4096] {
             let items = build_work_items(&layout, cap);
             assert!(items.iter().all(|i| i.len() <= cap && !i.is_empty()));
-            let stats = work_stats(&items);
-            assert_eq!(stats.total_tokens, layout.num_tokens());
-            assert_eq!(
-                stats.max_block_tokens,
-                items.iter().map(WorkItem::len).max().unwrap()
-            );
+            let total: usize = items.iter().map(WorkItem::len).sum();
+            assert_eq!(total, layout.num_tokens());
+        }
+    }
+
+    #[test]
+    fn items_are_sorted_heaviest_word_first_then_by_word_and_start() {
+        let corpus = DatasetProfile::nytimes().scaled(0.0005).generate(3);
+        let layout = ChunkLayout::build(
+            &corpus,
+            DocRange {
+                start: 0,
+                end: corpus.num_docs(),
+            },
+        );
+        for cap in [1usize, 7, 64, 4096] {
+            // Every word's items in start order, sorted on the full key.
+            let mut expected: Vec<WorkItem> = (0..layout.vocab_size)
+                .flat_map(|v| {
+                    let (start, end) = layout.word_token_range(v);
+                    (start..end).step_by(cap).map(move |lo| WorkItem {
+                        word: v as u32,
+                        start: lo as u32,
+                        end: (lo + cap).min(end) as u32,
+                    })
+                })
+                .collect();
+            expected.sort_by_key(|i| {
+                (
+                    Reverse(layout.word_token_count(i.word as usize)),
+                    i.word,
+                    i.start,
+                )
+            });
+            assert_eq!(build_work_items(&layout, cap), expected, "cap {cap}");
         }
     }
 
@@ -191,8 +188,5 @@ mod tests {
         let layout = ChunkLayout::build(&corpus, DocRange { start: 0, end: 0 });
         let items = build_work_items(&layout, 128);
         assert!(items.is_empty());
-        let stats = work_stats(&items);
-        assert_eq!(stats.num_blocks, 0);
-        assert_eq!(stats.mean_block_tokens, 0.0);
     }
 }

@@ -98,11 +98,6 @@ impl Corpus {
         self.word_frequencies().iter().filter(|&&f| f > 0).count()
     }
 
-    /// Iterate `(doc, word)` pairs over every token in document order.
-    pub fn iter_tokens(&self) -> impl Iterator<Item = (DocId, WordId)> + '_ {
-        (0..self.num_docs()).flat_map(move |d| self.doc(d).iter().map(move |&w| (d as DocId, w)))
-    }
-
     /// Estimated bytes of the device-resident corpus chunk representation
     /// (token word ids as u32 + topic assignments as u16 + doc map as u32).
     pub fn device_bytes_estimate(&self) -> u64 {
@@ -235,15 +230,6 @@ mod tests {
         let c = small();
         assert!((c.avg_doc_len() - 7.0 / 3.0).abs() < 1e-12);
         assert_eq!(c.max_doc_len(), 4);
-    }
-
-    #[test]
-    fn iter_tokens_visits_every_token_once() {
-        let c = small();
-        let pairs: Vec<_> = c.iter_tokens().collect();
-        assert_eq!(pairs.len(), 7);
-        assert_eq!(pairs[0], (0, 0));
-        assert_eq!(pairs[4], (2, 5));
     }
 
     #[test]

@@ -17,6 +17,8 @@ use crate::corpus::Corpus;
 use culda_sparse::prefix::parallel_offsets_u64;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A contiguous range of documents assigned to one chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,6 +128,37 @@ impl Partitioner {
     }
 }
 
+/// Fewest tokens one part of a chunk's parallel passes covers: a chunk
+/// under twice this runs each pass as one serial loop.
+const MIN_PART_TOKENS: usize = 1 << 15;
+
+/// Split the items of the prefix array `offsets` (item `i` holds
+/// `offsets[i]..offsets[i + 1]` tokens) into contiguous ranges of about
+/// equal token counts, one per thread of the next parallel region and at
+/// least [`MIN_PART_TOKENS`] each; one range inside a parallel region.
+/// Every pass that splits a chunk this way gives the same result for any
+/// split, so the thread count shapes only the schedule.
+fn token_parts(offsets: &[u32]) -> Vec<Range<usize>> {
+    let items = offsets.len() - 1;
+    let tokens = offsets[items] as usize;
+    let parts = rayon::current_num_threads()
+        .min(tokens / MIN_PART_TOKENS)
+        .max(1);
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    for p in 1..=parts {
+        let end = if p == parts {
+            items
+        } else {
+            let target = (tokens * p / parts) as u32;
+            offsets.partition_point(|&t| t < target).clamp(start, items)
+        };
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
+}
+
 /// The device-side layout of one corpus chunk.
 ///
 /// Token arrays are stored in **word-major** order: all tokens of word 0
@@ -142,6 +175,12 @@ pub struct ChunkLayout {
     pub word_ptr: Vec<u32>,
     /// Local document index of each token, in word-major order.
     pub token_doc: Vec<u32>,
+    /// Index of each token within its document (original corpus token
+    /// order), in word-major order: the inverse of the document–word map.
+    /// `(global document id, slot)` is a partition-independent identity for
+    /// a token, which is what keys the counter-based sampling RNG so that
+    /// training is bit-reproducible across GPU topologies.
+    pub token_slot: Vec<u32>,
     /// Local per-document token offsets (`local_docs + 1` entries).
     pub doc_ptr: Vec<u32>,
     /// For each local document, the word-major positions of its tokens.
@@ -149,56 +188,123 @@ pub struct ChunkLayout {
 }
 
 impl ChunkLayout {
-    /// Build the layout for the documents in `range`.
+    /// Build the layout for the documents in `range`: a counting sort of
+    /// the chunk's tokens by word, run over contiguous parts of its
+    /// documents on the pool.
+    ///
+    /// Each part counts its own word histogram.  The cursor of word `w` in
+    /// part `p` starts at `word_ptr[w]` plus the counts of `w` in the parts
+    /// before `p`, so within a word the tokens keep document order and the
+    /// layout is the same for any number of parts.  The scatter writes
+    /// `doc_token_pos` into the part's own document-major slice and
+    /// `token_doc` and `token_slot` at the word-major positions it claims
+    /// (each position once, through relaxed atomics).
     pub fn build(corpus: &Corpus, range: DocRange) -> Self {
         let vocab_size = corpus.vocab_size();
-        let local_docs = range.len();
+        let first = corpus.doc_ptr()[range.start];
+        let doc_ptr: Vec<u32> = corpus.doc_ptr()[range.start..=range.end]
+            .iter()
+            .map(|&p| (p - first) as u32)
+            .collect();
+        let num_tokens = doc_ptr[range.len()] as usize;
+        let parts = token_parts(&doc_ptr);
+        let words_of = |d: usize| corpus.doc(range.start + d);
 
-        // Pass 1: count tokens per word within the chunk.
-        let mut word_counts = vec![0u32; vocab_size];
-        let mut num_tokens = 0usize;
-        for d in range.start..range.end {
-            for &w in corpus.doc(d) {
-                word_counts[w as usize] += 1;
-                num_tokens += 1;
-            }
-        }
+        // Pass 1: each part counts its tokens per word.
+        let mut cursors = vec![0u32; parts.len() * vocab_size];
+        cursors
+            .par_chunks_mut(vocab_size.max(1))
+            .zip(parts.par_iter())
+            .for_each(|(counts, docs)| {
+                for d in docs.clone() {
+                    for &w in words_of(d) {
+                        counts[w as usize] += 1;
+                    }
+                }
+            });
 
-        // Exclusive scan → word_ptr.
+        // Exclusive scan over (word, part) → word_ptr, and each part's
+        // counts become its cursors.
         let mut word_ptr = Vec::with_capacity(vocab_size + 1);
         let mut acc = 0u32;
         word_ptr.push(0);
-        for &c in &word_counts {
-            acc += c;
+        for w in 0..vocab_size {
+            for part in cursors.chunks_exact_mut(vocab_size) {
+                let count = std::mem::replace(&mut part[w], acc);
+                acc += count;
+            }
             word_ptr.push(acc);
         }
         debug_assert_eq!(acc as usize, num_tokens);
 
-        // Pass 2: scatter tokens into word-major order, remembering where each
-        // document's tokens landed (the document–word map).
-        let mut cursor: Vec<u32> = word_ptr[..vocab_size].to_vec();
-        let mut token_doc = vec![0u32; num_tokens];
-        let mut doc_ptr = Vec::with_capacity(local_docs + 1);
-        let mut doc_token_pos = Vec::with_capacity(num_tokens);
-        doc_ptr.push(0);
-        for (local_d, d) in (range.start..range.end).enumerate() {
-            for &w in corpus.doc(d) {
-                let pos = cursor[w as usize];
-                cursor[w as usize] += 1;
-                token_doc[pos as usize] = local_d as u32;
-                doc_token_pos.push(pos);
-            }
-            doc_ptr.push(doc_token_pos.len() as u32);
+        // Pass 2: scatter tokens into word-major order, remembering where
+        // each document's tokens landed (the document–word map).  The
+        // zeroed word-major arrays become atomics in place, untouched until
+        // the scatter writes them.
+        let atomic =
+            |v: Vec<u32>| -> Vec<AtomicU32> { v.into_iter().map(AtomicU32::new).collect() };
+        let token_doc = atomic(vec![0; num_tokens]);
+        let token_slot = atomic(vec![0; num_tokens]);
+        let mut doc_token_pos = vec![0u32; num_tokens];
+        let mut part_positions = Vec::with_capacity(parts.len());
+        let mut rest = doc_token_pos.as_mut_slice();
+        for docs in &parts {
+            let len = (doc_ptr[docs.end] - doc_ptr[docs.start]) as usize;
+            let (head, tail) = rest.split_at_mut(len);
+            part_positions.push(head);
+            rest = tail;
         }
+        part_positions
+            .par_iter_mut()
+            .zip(cursors.par_chunks_mut(vocab_size.max(1)))
+            .zip(parts.par_iter())
+            .for_each(|((positions, cursor), docs)| {
+                let mut out = positions.iter_mut();
+                for d in docs.clone() {
+                    for (&w, doc_pos) in words_of(d).iter().zip(out.by_ref()) {
+                        let pos = cursor[w as usize];
+                        cursor[w as usize] += 1;
+                        token_doc[pos as usize].store(d as u32, Ordering::Relaxed);
+                        *doc_pos = pos;
+                    }
+                }
+                // The slots in a second walk over the part's positions: one
+                // scattered write stream per walk is faster than two.
+                let mut positions = &positions[..];
+                for d in docs.clone() {
+                    let (doc, rest) = positions.split_at(words_of(d).len());
+                    for (slot, &pos) in doc.iter().enumerate() {
+                        token_slot[pos as usize].store(slot as u32, Ordering::Relaxed);
+                    }
+                    positions = rest;
+                }
+            });
 
+        let plain =
+            |v: Vec<AtomicU32>| -> Vec<u32> { v.into_iter().map(AtomicU32::into_inner).collect() };
         ChunkLayout {
             range,
             vocab_size,
             word_ptr,
-            token_doc,
+            token_doc: plain(token_doc),
+            token_slot: plain(token_slot),
             doc_ptr,
             doc_token_pos,
         }
+    }
+
+    /// Contiguous local document ranges of about equal token counts that
+    /// split a per-document pass over the pool (one range when the chunk is
+    /// small or the caller already runs inside a parallel region).
+    pub fn doc_parts(&self) -> Vec<Range<usize>> {
+        token_parts(&self.doc_ptr)
+    }
+
+    /// Contiguous word ranges of about equal token counts that split a
+    /// per-word pass over the pool, as [`ChunkLayout::doc_parts`] does
+    /// documents.
+    pub fn word_parts(&self) -> Vec<Range<usize>> {
+        token_parts(&self.word_ptr)
     }
 
     /// Number of tokens in the chunk.
@@ -237,28 +343,6 @@ impl ChunkLayout {
         &self.doc_token_pos[self.doc_ptr[d] as usize..self.doc_ptr[d + 1] as usize]
     }
 
-    /// The inverse of the document–word map: for every word-major position,
-    /// the token's index within its *document* (original corpus token
-    /// order).  `(global document id, slot)` is a partition-independent
-    /// identity for a token, which is what keys the counter-based sampling
-    /// RNG so that training is bit-reproducible across GPU topologies.
-    pub fn token_slots(&self) -> Vec<u32> {
-        let mut slots = vec![0u32; self.num_tokens()];
-        for d in 0..self.num_docs() {
-            for (t, &pos) in self.doc_positions(d).iter().enumerate() {
-                slots[pos as usize] = t as u32;
-            }
-        }
-        slots
-    }
-
-    /// Distinct words that actually occur in this chunk.
-    pub fn words_present(&self) -> usize {
-        (0..self.vocab_size)
-            .filter(|&v| self.word_token_count(v) > 0)
-            .count()
-    }
-
     /// Bytes of device memory this chunk layout occupies
     /// (word_ptr + token_doc + doc_ptr + doc_token_pos as u32, plus 2 bytes
     /// per token for the compressed topic assignment array that lives next to
@@ -282,8 +366,10 @@ impl ChunkLayout {
         if self.doc_ptr.len() != self.range.len() + 1 {
             return Err("doc_ptr length mismatch".into());
         }
-        if self.doc_token_pos.len() != self.token_doc.len() {
-            return Err("doc_token_pos length mismatch".into());
+        if self.doc_token_pos.len() != self.token_doc.len()
+            || self.token_slot.len() != self.token_doc.len()
+        {
+            return Err("doc_token_pos or token_slot length mismatch".into());
         }
         // Every word-major position must be referenced exactly once.
         let mut seen = vec![false; self.num_tokens()];
@@ -294,11 +380,15 @@ impl ChunkLayout {
             }
             seen[p] = true;
         }
-        // token_doc of each doc position must equal the owning doc.
+        // token_doc and token_slot of each doc position must name the
+        // owning doc and the token's index in it.
         for d in 0..self.num_docs() {
-            for &p in self.doc_positions(d) {
+            for (slot, &p) in self.doc_positions(d).iter().enumerate() {
                 if self.token_doc[p as usize] as usize != d {
                     return Err(format!("token at {p} does not belong to doc {d}"));
+                }
+                if self.token_slot[p as usize] as usize != slot {
+                    return Err(format!("token at {p} is not slot {slot} of doc {d}"));
                 }
             }
         }
@@ -410,12 +500,42 @@ mod tests {
     }
 
     #[test]
+    fn layout_is_the_same_for_any_number_of_parts() {
+        // Enough tokens for eight parts of `MIN_PART_TOKENS`.
+        let corpus = DatasetProfile::nytimes()
+            .scaled_to_tokens(300_000)
+            .generate(2);
+        let range = DocRange {
+            start: 3,
+            end: corpus.num_docs() - 5,
+        };
+        let pool = |n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+        };
+        let serial = pool(1).install(|| ChunkLayout::build(&corpus, range));
+        serial.validate().unwrap();
+        assert_eq!(pool(1).install(|| serial.doc_parts()).len(), 1);
+        for n in [2, 3, 8] {
+            let parts = pool(n).install(|| serial.doc_parts());
+            assert_eq!(parts.len(), n, "{n} threads");
+            assert_eq!(parts.first().unwrap().start, 0);
+            assert_eq!(parts.last().unwrap().end, serial.num_docs());
+            assert!(parts.windows(2).all(|w| w[0].end == w[1].start));
+            let layout = pool(n).install(|| ChunkLayout::build(&corpus, range));
+            assert!(layout == serial, "layout differs at {n} threads");
+        }
+    }
+
+    #[test]
     fn empty_chunk_layout_is_valid() {
         let c = small_corpus();
         let layout = ChunkLayout::build(&c, DocRange { start: 2, end: 2 });
         layout.validate().unwrap();
         assert_eq!(layout.num_tokens(), 0);
         assert_eq!(layout.num_docs(), 0);
-        assert_eq!(layout.words_present(), 0);
+        assert!(layout.word_ptr.iter().all(|&p| p == 0));
     }
 }

@@ -15,7 +15,12 @@
 //!   contiguous slice; [`AtomicMatrix::to_dense`] transposes back to the
 //!   row-major `K × V` form everything outside the kernels sees.
 
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Fewest cells one pool thread zero-fills in [`AtomicMatrix::zeros`]
+/// (512 KiB): a small matrix is filled on the calling thread alone.
+const ZERO_FILL_GRAIN: usize = 1 << 17;
 
 /// A row-major dense matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,10 +145,15 @@ pub struct AtomicMatrix {
 }
 
 impl AtomicMatrix {
-    /// A zero-filled atomic matrix.
+    /// A zero-filled atomic matrix.  The storage is allocated on the
+    /// calling thread and first written by the pool, so the page faults of
+    /// a large φ are taken on every core, not one.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        data.resize_with(rows * cols, || AtomicU32::new(0));
+        let data = (0..rows * cols)
+            .into_par_iter()
+            .with_min_len(ZERO_FILL_GRAIN)
+            .map(|_| AtomicU32::new(0))
+            .collect();
         AtomicMatrix { rows, cols, data }
     }
 
@@ -385,6 +395,22 @@ mod tests {
     fn atomic_matrix_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<AtomicMatrix>();
+    }
+
+    #[test]
+    fn zeros_fills_every_cell_at_any_thread_count() {
+        // Several fill claims' worth of cells.
+        let (rows, cols) = (64, 3 * ZERO_FILL_GRAIN / 64 + 5);
+        for n in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap();
+            let a = pool.install(|| AtomicMatrix::zeros(rows, cols));
+            assert_eq!((a.rows(), a.cols()), (rows, cols));
+            assert_eq!(a.data.len(), rows * cols);
+            assert!(a.data.iter().all(|c| c.load(Ordering::Relaxed) == 0));
+        }
     }
 
     #[test]

@@ -449,12 +449,19 @@ where
 
 /// A parallel iterator over an [`IndexedSource`], driven by the scoped
 /// thread executor.  Mirrors the subset of `rayon::iter::ParallelIterator`
-/// the workspace uses: `map`, `zip`, `for_each`, `collect`, `sum`.
+/// the workspace uses: `map`, `zip`, `with_min_len`, `for_each`, `collect`,
+/// `sum`.
 pub struct ParIter<S> {
     source: S,
+    /// Fewest items one claim of `for_each` / `collect` covers.
+    min_len: usize,
 }
 
 impl<S: IndexedSource> ParIter<S> {
+    fn new(source: S) -> Self {
+        ParIter { source, min_len: 1 }
+    }
+
     /// Apply `f` to every item.
     pub fn map<F, R>(self, f: F) -> ParIter<MapSource<S, F>>
     where
@@ -465,6 +472,7 @@ impl<S: IndexedSource> ParIter<S> {
                 inner: self.source,
                 f,
             },
+            min_len: self.min_len,
         }
     }
 
@@ -475,7 +483,17 @@ impl<S: IndexedSource> ParIter<S> {
                 a: self.source,
                 b: other.source,
             },
+            min_len: self.min_len.max(other.min_len),
         }
+    }
+
+    /// Hand `for_each` and `collect` claims of at least `min` items, so a
+    /// short input runs on fewer threads (on one when `len ≤ min`), as
+    /// `rayon::IndexedParallelIterator::with_min_len`.  Affects scheduling
+    /// only, never results; `sum` keeps its fixed partial tree.
+    pub fn with_min_len(mut self, min: usize) -> Self {
+        self.min_len = min.max(1);
+        self
     }
 
     /// Consume every item on the worker threads.  Imposes no ordering: the
@@ -487,7 +505,7 @@ impl<S: IndexedSource> ParIter<S> {
     {
         let len = self.source.len();
         let source = &self.source;
-        run_region(len, element_grain(len), &|range| {
+        run_region(len, element_grain(len).max(self.min_len), &|range| {
             for i in range {
                 // SAFETY: the executor hands out each index exactly once.
                 f(unsafe { source.fetch(i) });
@@ -501,7 +519,7 @@ impl<S: IndexedSource> ParIter<S> {
         S: Sync,
         C: FromParallelSource<S::Item>,
     {
-        C::from_par_source(self.source)
+        C::from_par_source(self.source, self.min_len)
     }
 
     /// Sum the items over the fixed partial-sum tree described in the module
@@ -541,22 +559,29 @@ impl<S: IndexedSource> ParIter<S> {
 
 /// Order-preserving parallel collection (rayon's `FromParallelIterator`).
 pub trait FromParallelSource<T>: Sized {
-    /// Build the container from an indexed source.
-    fn from_par_source<S>(source: S) -> Self
+    /// Build the container from an indexed source, in claims of at least
+    /// `min_len` items.
+    fn from_par_source<S>(source: S, min_len: usize) -> Self
     where
         S: IndexedSource<Item = T> + Sync;
 }
 
 impl<T: Send> FromParallelSource<T> for Vec<T> {
-    fn from_par_source<S>(source: S) -> Self
+    /// The buffer is allocated on the calling thread and left untouched
+    /// there: each slot is first written by the thread that produces it, so
+    /// a large output's page faults are spread over the pool.
+    fn from_par_source<S>(source: S, min_len: usize) -> Self
     where
         S: IndexedSource<Item = T> + Sync,
     {
         let len = source.len();
-        let mut out: Vec<MaybeUninit<T>> = (0..len).map(|_| MaybeUninit::uninit()).collect();
+        let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(len);
+        // SAFETY: `MaybeUninit<T>` needs no initialization, and the capacity
+        // is `len`.
+        unsafe { out.set_len(len) };
         let slots = SharedSlots(out.as_mut_ptr());
         let source = &source;
-        run_region(len, element_grain(len), &|range| {
+        run_region(len, element_grain(len).max(min_len), &|range| {
             for i in range {
                 // SAFETY: index `i` — hence slot `i` — is visited exactly
                 // once across all threads.
@@ -587,12 +612,10 @@ impl<T: ParallelRangeIndex> IntoParallelIterator for Range<T> {
     type Item = T;
     type Iter = ParIter<RangeSource<T>>;
     fn into_par_iter(self) -> Self::Iter {
-        ParIter {
-            source: RangeSource {
-                start: self.start,
-                len: self.start.distance_to(self.end),
-            },
-        }
+        ParIter::new(RangeSource {
+            start: self.start,
+            len: self.start.distance_to(self.end),
+        })
     }
 }
 
@@ -611,9 +634,7 @@ impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
     type Item = &'data T;
     type Iter = ParIter<SliceSource<'data, T>>;
     fn par_iter(&'data self) -> Self::Iter {
-        ParIter {
-            source: SliceSource { slice: self },
-        }
+        ParIter::new(SliceSource { slice: self })
     }
 }
 
@@ -648,13 +669,11 @@ impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for [T] {
     type Item = &'data mut T;
     type Iter = ParIter<SliceMutSource<'data, T>>;
     fn par_iter_mut(&'data mut self) -> Self::Iter {
-        ParIter {
-            source: SliceMutSource {
-                ptr: self.as_mut_ptr(),
-                len: self.len(),
-                _marker: std::marker::PhantomData,
-            },
-        }
+        ParIter::new(SliceMutSource {
+            ptr: self.as_mut_ptr(),
+            len: self.len(),
+            _marker: std::marker::PhantomData,
+        })
     }
 }
 
@@ -684,12 +703,10 @@ pub trait ParallelSlice<T> {
 impl<T: Sync> ParallelSlice<T> for [T] {
     fn par_chunks(&self, chunk_size: usize) -> ParIter<ChunksSource<'_, T>> {
         assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParIter {
-            source: ChunksSource {
-                slice: self,
-                chunk: chunk_size,
-            },
-        }
+        ParIter::new(ChunksSource {
+            slice: self,
+            chunk: chunk_size,
+        })
     }
 }
 
@@ -703,14 +720,12 @@ pub trait ParallelSliceMut<T> {
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutSource<'_, T>> {
         assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParIter {
-            source: ChunksMutSource {
-                ptr: self.as_mut_ptr(),
-                len: self.len(),
-                chunk: chunk_size,
-                _marker: std::marker::PhantomData,
-            },
-        }
+        ParIter::new(ChunksMutSource {
+            ptr: self.as_mut_ptr(),
+            len: self.len(),
+            chunk: chunk_size,
+            _marker: std::marker::PhantomData,
+        })
     }
 }
 
@@ -821,6 +836,25 @@ mod tests {
             });
             assert_eq!(got, expected, "collect order broke at {n} threads");
         }
+    }
+
+    #[test]
+    fn with_min_len_keeps_short_inputs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        pool(8).install(|| {
+            let ids: Vec<_> = (0..100usize)
+                .into_par_iter()
+                .with_min_len(100)
+                .map(|_| std::thread::current().id())
+                .collect();
+            assert!(ids.iter().all(|&id| id == caller));
+            let got: Vec<usize> = (0..10_000usize)
+                .into_par_iter()
+                .with_min_len(1000)
+                .map(|x| x + 1)
+                .collect();
+            assert_eq!(got, (1..10_001).collect::<Vec<_>>());
+        });
     }
 
     #[test]

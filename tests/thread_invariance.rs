@@ -1,7 +1,7 @@
 //! Thread-count invariance: every result the system produces — topic
 //! assignments, the synchronized φ, serialized checkpoints, conformance
 //! log-likelihood trajectories — must be bit-identical whether the parallel
-//! regions execute on 1, 2, or all available OS threads, across 1- and
+//! regions execute on 1, 2, 8 or all available OS threads, across 1- and
 //! 4-GPU topologies and both the batch and streaming entry points.
 //!
 //! This is the stress battery for the real thread pool: the shim hands out
@@ -31,11 +31,12 @@ fn with_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
         .install(op)
 }
 
-/// The thread counts under test: sequential, minimal parallelism, and
-/// whatever the machine actually has.
+/// The thread counts under test: sequential, minimal parallelism, whatever
+/// the machine actually has, and 8 — more threads than the 4-GPU runs have
+/// chunks, and than most hosts that run this have cores.
 fn thread_counts() -> Vec<usize> {
     let max = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 2, max];
+    let mut counts = vec![1, 2, max, 8];
     counts.sort_unstable();
     counts.dedup();
     counts
